@@ -2,7 +2,7 @@
 predicted S * x^(1/3) / log x at decade checkpoints.
 
 python3 scripts/count_report.py
-python3 scripts/count_report.py --k 4 --max-exp 15 --threads 4
+python3 scripts/count_report.py --k 4 --max-exp 15
 """
 
 import argparse
@@ -19,7 +19,6 @@ def main() -> None:
     ap.add_argument("--step", type=int, default=3)
     ap.add_argument("--pmax", type=int, default=10**6,
                     help="prime cutoff for the singular series")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     checkpoints = [10**e for e in range(args.min_exp, args.max_exp + 1, args.step)]
@@ -27,7 +26,7 @@ def main() -> None:
     print(f"k = {args.k}, S truncated at p <= {args.pmax}: {constant:.12f}")
     print(f"{'x':>22} {'observed':>9} {'predicted':>14} {'ratio':>8}")
     started = time.perf_counter()
-    for r in count_table(args.k, checkpoints, args.pmax, threads=args.threads):
+    for r in count_table(args.k, checkpoints, args.pmax):
         print(f"{r.x:>22} {r.observed:>9} {r.predicted:>14.3f} {r.ratio:>8.4f}")
     print(f"({time.perf_counter() - started:.2f}s)")
 

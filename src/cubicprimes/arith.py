@@ -87,15 +87,13 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class ArithTables:
-    """Sieve output for 2..limit: smallest prime factors, Mobius values,
-    and the ascending list of primes.
+    """Sieve output for 2..limit: Mobius values and the ascending primes.
 
-    spf and mu are numpy arrays indexed directly by n (entries 0 and 1 are
-    padding); primes is an int64 array.
+    mu is an int8 array indexed directly by n (entry 0 is padding); primes
+    is an int64 array.
     """
 
     limit: int
-    spf: np.ndarray
     mu: np.ndarray
     primes: np.ndarray
 
@@ -122,40 +120,37 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
-def sieve_range(limit: int, *, max_limit: int = SIEVE_LIMIT_MAX) -> ArithTables:
-    """Sieve smallest prime factors and Mobius values for 2..limit.
+def sieve_range(limit: int) -> ArithTables:
+    """Sieve Mobius values for 0..limit from the primes of primes_up_to.
 
-    limit outside [2, max_limit] raises CapacityError; the default cap keeps
-    the two tables (int32 + int8) around 5 bytes per entry.
+    limit outside [2, SIEVE_LIMIT_MAX] raises CapacityError. mu takes 1 byte
+    per entry (int8) and primes 8 bytes per prime (int64, about
+    limit / ln(limit) of them); building them adds primes_up_to's 1-byte
+    boolean flags.
     """
-    if limit < 2 or limit > max_limit:
-        raise CapacityError(f"sieve limit {limit} outside [2, {max_limit}]")
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            spf[p] = p
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    rest = np.flatnonzero(spf == 0)
-    spf[rest] = rest
-    spf[0] = spf[1] = 0
-
-    idx = np.arange(limit + 1, dtype=np.int32)
-    primes = np.flatnonzero((spf == idx) & (idx >= 2)).astype(np.int64)
-
+    if limit < 2 or limit > SIEVE_LIMIT_MAX:
+        raise CapacityError(f"sieve limit {limit} outside [2, {SIEVE_LIMIT_MAX}]")
+    primes = primes_up_to(limit)
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    for p in primes:
+    n_small = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
+    for p in primes[:n_small]:
         p = int(p)
         mu[p::p] *= -1
-        sq = p * p
-        if sq <= limit:
-            mu[sq::sq] = 0
-    return ArithTables(limit=limit, spf=spf, mu=mu, primes=primes)
+        mu[p * p :: p * p] = 0
+    # a prime above sqrt(limit) has no square in range; flip the sign of its
+    # multiples one multiplier m at a time, over every such prime at once
+    big = primes[n_small:]
+    m = 1
+    while big.size:
+        mu[m * big] *= -1
+        m += 1
+        big = big[: int(np.searchsorted(big, limit // m, side="right"))]
+    return ArithTables(limit=limit, mu=mu, primes=primes)
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """Ascending primes <= limit via a plain boolean sieve (no spf/mu tables)."""
+    """Ascending primes <= limit via a plain boolean sieve of Eratosthenes."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     if limit > SIEVE_LIMIT_MAX:

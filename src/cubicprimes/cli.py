@@ -4,10 +4,11 @@ Every subcommand prints one table, as CSV (default) or JSON. CSV output
 is metadata comment lines starting with '#', then a header line, then
 rows, LF-terminated, with reals at 15 significant digits; the body below
 the metadata block is reproducible byte for byte for a fixed library
-version, regardless of --threads.
+version.
 
 Exit codes: 0 success, 2 usage or domain error, 3 capacity or resource
-limit, 4 internal cross-check failure.
+limit, 4 internal cross-check failure. An --out path that cannot be opened
+is a usage error.
 """
 
 from __future__ import annotations
@@ -127,11 +128,11 @@ def _cmd_count(args: argparse.Namespace) -> OutputTable:
     checkpoints = args.checkpoints or ([args.x] if args.x is not None else None)
     if not checkpoints:
         raise DomainError("count needs --x or --checkpoints")
-    records = count_table(args.k, checkpoints, p_cutoff=args.pmax, threads=args.threads)
+    records = count_table(args.k, checkpoints, p_cutoff=args.pmax)
     rows = [(r.x, r.observed, r.predicted, r.ratio, r.p_cutoff) for r in records]
     return OutputTable(
         "count", ("x", "observed", "predicted", "ratio", "p_cutoff"), rows,
-        extra={"k": args.k, "threads": args.threads})
+        extra={"k": args.k})
 
 
 def _cmd_constant(args: argparse.Namespace) -> OutputTable:
@@ -294,7 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--checkpoints", type=_int_list)
     sp.add_argument("--pmax", type=int, default=10**6,
                     help="prime cutoff for the predicted constant")
-    sp.add_argument("--threads", type=int, default=1)
 
     sp = add("constant", _cmd_constant, "singular series partial product")
     sp.add_argument("--k", type=int, required=True)
@@ -361,12 +361,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
+def _emit(text: str, out: str | None, code: int) -> int:
+    """Write text to out (stdout when None) and pass code on, or return 2
+    when out cannot be opened."""
+    if not out:
         sys.stdout.write(text)
+        return code
+    try:
+        fh = open(out, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    with fh:
+        fh.write(text)
+    return code
 
 
 def run(argv: list[str]) -> int:
@@ -389,12 +397,10 @@ def run(argv: list[str]) -> int:
         return 4
     if isinstance(result, tuple):
         text, code = result
-        _emit(text, args.out)
-        return code
+        return _emit(text, args.out, code)
     result.wall_time = time.perf_counter() - started
     render = render_csv if args.format == "csv" else render_json
-    _emit(render(result, argv), args.out)
-    return 0
+    return _emit(render(result, argv), args.out, 0)
 
 
 def main() -> None:

@@ -5,14 +5,12 @@ The observed side enumerates n, prescreens values against small-prime
 arithmetic progressions with numpy, and certifies survivors with
 deterministic Miller-Rabin. The predicted side is the truncated product
 over p = 1 mod 3 of (1 - 2*chi/(p-1)) times x^(1/3)/log x. Everything here
-is deterministic; --threads only splits ranges whose integer subtotals are
-reduced in a fixed order.
+is deterministic: the index range is walked once, in ascending segments.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,10 +30,11 @@ from .arith import (
     totient,
 )
 from .errors import CapacityError, DomainError, ResourceError
-from .residues import roots_mod
+from .residues import is_cube_mod, roots_mod
 
 RHS_BUDGET = 10**5  # lambda_sum_rhs scans roots mod every d <= x
 _SEGMENT = 1 << 16
+_ROOT_EXPONENTS = tuple(int(p) for p in primes_up_to(64))  # prime e with 2^e < 2^64
 
 
 @dataclass(frozen=True)
@@ -125,11 +124,6 @@ def max_index(k: int, x: int) -> int:
     return -(integer_cuberoot(-t - 1) + 1)
 
 
-def _check_value_capacity(k: int, n_hi: int):
-    if n_hi >= 0 and n_hi**3 + k > U64_MAX:
-        raise CapacityError(f"n^3 + k at n = {n_hi} exceeds the unsigned 64-bit value budget")
-
-
 @lru_cache(maxsize=8)
 def _prescreen(k: int, bound: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
     """(p, roots of n^3 = -k mod p, first n with n^3 + k > p) per sieve prime."""
@@ -167,15 +161,6 @@ def _count_segment(k: int, lo: int, hi: int, prescreen) -> int:
     return total
 
 
-def _segments(n_lo: int, n_hi: int):
-    # chunk boundaries are independent of the thread count
-    lo = n_lo
-    while lo <= n_hi:
-        hi = min(lo + _SEGMENT - 1, n_hi)
-        yield lo, hi
-        lo = hi + 1
-
-
 def _prescreen_bound(span: int) -> int:
     if span < 10**3:
         return 100
@@ -184,28 +169,32 @@ def _prescreen_bound(span: int) -> int:
     return 10**4
 
 
-def count_cubic_primes(k: int, x: int, threads: int = 1) -> int:
+def _running_counts(k: int, bounds: list[int]) -> list[int]:
+    """Number of primes n^3 + k over n from min_index(k) up to each of the
+    ascending index bounds, in one walk of 65536-index segments."""
+    lo = min_index(k)
+    prescreen = _prescreen(k, _prescreen_bound(bounds[-1] - lo + 1))
+    totals, running = [], 0
+    for b in bounds:
+        while lo <= b:
+            hi = min(lo + _SEGMENT - 1, b)
+            running += _count_segment(k, lo, hi, prescreen)
+            lo = hi + 1
+        totals.append(running)
+    return totals
+
+
+def count_cubic_primes(k: int, x: int) -> int:
     """Number of n >= min_index(k) with n^3 + k prime and <= x."""
     if x > U64_MAX:
         raise CapacityError(f"x = {x} exceeds the unsigned 64-bit value budget")
-    if threads < 1:
-        raise DomainError("threads must be >= 1")
-    n_lo, n_hi = min_index(k), max_index(k, x)
-    if x < 2 or n_hi < n_lo:
-        return 0
-    _check_value_capacity(k, n_hi)
-    prescreen = _prescreen(k, _prescreen_bound(n_hi - n_lo + 1))
-    chunks = list(_segments(n_lo, n_hi))
-    if threads == 1:
-        return sum(_count_segment(k, lo, hi, prescreen) for lo, hi in chunks)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(lambda c: _count_segment(k, c[0], c[1], prescreen), chunks)
-        return sum(parts)
+    return _running_counts(k, [max_index(k, x)])[0]
 
 
 def enumerate_cubic_primes(k: int, n_max: int) -> list[tuple[int, int]]:
     """All (n, n^3 + k) with the value prime, for n from min_index(k) to n_max."""
-    _check_value_capacity(k, n_max)
+    if n_max >= 0 and n_max**3 + k > U64_MAX:
+        raise CapacityError(f"n^3 + k at n = {n_max} exceeds the unsigned 64-bit value budget")
     out = []
     for n in range(min_index(k), n_max + 1):
         v = n * n * n + k
@@ -219,10 +208,13 @@ def singular_series(k: int, p_cutoff: int, primes: np.ndarray | None = None) -> 
     1 - 2*chi(-k, p)/(p - 1), taken in increasing p order.
 
     The product converges only conditionally, so the order is part of the
-    contract; truncations oscillate slowly as the cutoff grows.
+    contract; truncations oscillate slowly as the cutoff grows. A cube k
+    (0 included) makes x^3 + k reducible and raises DomainError.
     """
     if p_cutoff < 0:
         raise DomainError("p_cutoff must be >= 0")
+    if integer_cuberoot(abs(k)) ** 3 == abs(k):
+        raise DomainError(f"x^3 + {k} is reducible: {k} is a cube")
     if primes is None:
         primes = primes_up_to(p_cutoff) if p_cutoff >= 2 else np.empty(0, dtype=np.int64)
     out = 1.0
@@ -232,7 +224,7 @@ def singular_series(k: int, p_cutoff: int, primes: np.ndarray | None = None) -> 
             break
         if p % 3 != 1 or k % p == 0:
             continue
-        c = 1.0 if pow((-k) % p, (p - 1) // 3, p) == 1 else -0.5
+        c = 1.0 if is_cube_mod(-k, p) else -0.5
         out *= 1.0 - 2.0 * c / (p - 1)
     return out
 
@@ -248,9 +240,7 @@ def _main_term(x: int) -> float:
     return float(x) ** (1.0 / 3.0) / math.log(x)
 
 
-def count_table(
-    k: int, checkpoints: list[int], p_cutoff: int, threads: int = 1
-) -> list[CountRecord]:
+def count_table(k: int, checkpoints: list[int], p_cutoff: int) -> list[CountRecord]:
     """CountRecord per checkpoint, observed in one ascending pass."""
     if not checkpoints:
         return []
@@ -261,30 +251,9 @@ def count_table(
     if checkpoints[-1] > U64_MAX:
         raise CapacityError("checkpoint exceeds the unsigned 64-bit value budget")
     series = singular_series(k, p_cutoff)
-    n_lo = min_index(k)
-    bounds = [max_index(k, x) for x in checkpoints]
-    _check_value_capacity(k, bounds[-1])
-    prescreen = _prescreen(k, _prescreen_bound(max(bounds) - n_lo + 1))
-
-    chunks = []
-    lo = n_lo
-    for b in bounds:
-        if b >= lo:
-            chunks.extend([(c_lo, c_hi, b) for c_lo, c_hi in _segments(lo, b)])
-            lo = b + 1
-    if threads == 1:
-        parts = [_count_segment(k, c[0], c[1], prescreen) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: _count_segment(k, c[0], c[1], prescreen), chunks))
-
+    observed = _running_counts(k, [max_index(k, x) for x in checkpoints])
     records = []
-    running = 0
-    i = 0
-    for x, b in zip(checkpoints, bounds):
-        while i < len(chunks) and chunks[i][2] <= b:
-            running += parts[i]
-            i += 1
+    for x, running in zip(checkpoints, observed):
         predicted = series * _main_term(x)
         records.append(
             CountRecord(x=x, observed=running, predicted=predicted,
@@ -346,7 +315,7 @@ def _ap_sum(r: int, d: int, lo: int, hi: int) -> int:
     return cnt * (2 * first + (cnt - 1) * d) // 2
 
 
-def lambda_sum_rhs(k: int, x: int, tables=None) -> float:
+def lambda_sum_rhs(k: int, x: int) -> float:
     """The divisor-side evaluation of the weighted sum with weight n:
     -sum over d of mu(d) log d times (sum of n in the index range with
     d | n^3 + k), the roots of n^3 = -k mod every d found by linear scan.
@@ -359,14 +328,12 @@ def lambda_sum_rhs(k: int, x: int, tables=None) -> float:
         raise DomainError("x must be >= 2")
     if x > RHS_BUDGET:
         raise ResourceError(f"x = {x} exceeds divisor-scan budget {RHS_BUDGET}")
-    if tables is None or tables.limit < x:
-        tables = sieve_range(x)
     f = Polynomial.cubic(k)
     lo = _first_index_at_least(k, 1)
     hi = max_index(k, x)
     if hi < lo:
         return 0.0
-    mu = tables.mu
+    mu = sieve_range(x).mu
     total = 0.0
     for d in range(2, x + 1):
         m = int(mu[d])
@@ -434,9 +401,19 @@ def prime_power_tail(k: int, x: int) -> tuple[float, float]:
 
 
 def _prime_power_base(v: int) -> int | None:
-    """p when v = p^e with e >= 2, else None."""
-    for e in range(v.bit_length() - 1, 1, -1):
-        r = integer_root(v, e)
-        if r**e == v:
-            return r if is_prime(r) else None
-    return None
+    """p when v = p^e with e >= 2, else None.
+
+    Only prime exponents q are tried, smallest first: an e-th power is a
+    q-th power for every prime q | e. An exact root replaces the base and is
+    tried again at the same q. Smaller q need no second try: a q-th root of
+    the root would have been a q-th root of the base before it.
+    """
+    base = v
+    for q in _ROOT_EXPONENTS:
+        if q >= base.bit_length():
+            break
+        r = integer_root(base, q)
+        while r**q == base:
+            base = r
+            r = integer_root(base, q)
+    return base if base != v and is_prime(base) else None

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithTables, Polynomial, factorize, sieve_range
+from .arith import Polynomial, factorize, primes_up_to, sieve_range
 from .errors import DomainError, ResourceError
-from .residues import roots_mod
+from .residues import is_cube_mod, roots_mod
 
 ENUMERATION_LIMIT = 10**7
 GENERAL_POLY_LIMIT = 10**5  # per-prime root scans get quadratic beyond this
@@ -76,7 +76,7 @@ def _solvable_mod_prime(f: Polynomial, p: int) -> bool:
         # cube map is onto for p = 3 and p = 2 mod 3; otherwise Euler test on -k
         if k % p == 0 or p % 3 != 1:
             return True
-        return pow((-k) % p, (p - 1) // 3, p) == 1
+        return is_cube_mod(-k, p)
     return bool(roots_mod(f, p))
 
 
@@ -104,7 +104,7 @@ def enumerate_dset(f: Polynomial, limit: int) -> list[int]:
         return [1]
     fprime = _derivative(f)
     boundary = math.isqrt(limit)
-    for p in _primes_iter(limit):
+    for p in map(int, primes_up_to(limit)):
         if p <= boundary:
             roots = roots_mod(f, p)
             if not roots:
@@ -120,15 +120,6 @@ def enumerate_dset(f: Polynomial, limit: int) -> list[int]:
         elif not _solvable_mod_prime(f, p):
             ok[p::p] = False
     return np.flatnonzero(ok).tolist()
-
-
-def _primes_iter(limit: int):
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return (int(p) for p in np.flatnonzero(flags))
 
 
 @dataclass(frozen=True)
@@ -173,10 +164,8 @@ def dset_density(f: Polynomial, limit: int, checkpoints: list[int]) -> DsetStats
     )
 
 
-def members_and_mobius(f: Polynomial, limit: int, tables: ArithTables | None = None):
+def members_and_mobius(f: Polynomial, limit: int):
     """Solvable moduli <= limit alongside their Mobius values; shared by the
     series partial sums."""
-    if tables is None or tables.limit < limit:
-        tables = sieve_range(max(limit, 2))
     members = np.asarray(enumerate_dset(f, limit), dtype=np.int64)
-    return members, tables.mu[members]
+    return members, sieve_range(max(limit, 2)).mu[members]

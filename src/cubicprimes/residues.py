@@ -68,6 +68,24 @@ class QuadraticForm:
     def __call__(self, u: int, v: int) -> int:
         return self.a * u * u + self.b * u * v + self.c * v * v
 
+    def ellipse_points(self, n: int):
+        """Yield every integer (u, v) with form(u, v) = n, by increasing |v|.
+
+        Per v, u is an integer root of a*u^2 + (b*v)*u + (c*v^2 - n), whose
+        discriminant 4*a*n + D*v^2 depends on |v| only and is >= 0 up to
+        the bound on |v|.
+        """
+        a, b, d = self.a, self.b, self.discriminant
+        for av in range(math.isqrt(4 * a * n // -d) + 1):
+            disc = 4 * a * n + d * av * av
+            t = math.isqrt(disc)
+            if t * t != disc:
+                continue
+            for v in (av, -av) if av else (0,):
+                for s in (t, -t) if t else (0,):
+                    if (s - b * v) % (2 * a) == 0:
+                        yield (s - b * v) // (2 * a), v
+
     def __str__(self) -> str:
         return f"({self.a},{self.b},{self.c})"
 
@@ -115,6 +133,12 @@ def primitive_cube_root(p: int) -> int:
     return min(z, z * z % p)
 
 
+def is_cube_mod(a: int, p: int) -> bool:
+    """Euler's criterion: whether a is a nonzero cube mod p, for a prime
+    p = 1 mod 3 (the caller checks p)."""
+    return pow(a % p, (p - 1) // 3, p) == 1
+
+
 def cubic_residue_euler(a: int, p: int) -> CubicClass:
     """Euler-criterion residuacity of a mod prime p.
 
@@ -129,9 +153,9 @@ def cubic_residue_euler(a: int, p: int) -> CubicClass:
         return CubicClass(CubicTag.NOT_COPRIME)
     if p % 3 != 1:
         return CubicClass(CubicTag.RESIDUE)
-    t = pow(a_mod, (p - 1) // 3, p)
-    if t == 1:
+    if is_cube_mod(a_mod, p):
         return CubicClass(CubicTag.RESIDUE, 0)
+    t = pow(a_mod, (p - 1) // 3, p)
     z = primitive_cube_root(p)
     if t == z:
         return CubicClass(CubicTag.NONRESIDUE, 1)
@@ -155,35 +179,18 @@ def cubic_character_exponent(a: int, p: int) -> int:
 def represent_by_form(form: QuadraticForm, n: int) -> tuple[int, int] | None:
     """The canonical representation (u, v) of n by the form, or None.
 
-    Exhaustive search over the ellipse form(u, v) = n. Among all integer
-    solutions the canonical one minimizes (|v|, |u|), breaking ties by
-    preferring v >= 0 and then u >= 0.
+    Exhaustive search over the ellipse form(u, v) = n, by increasing |v|.
+    Among all integer solutions the canonical one minimizes (|v|, |u|),
+    breaking ties by preferring v >= 0 and then u >= 0.
     """
     if n < 1:
         raise DomainError(f"representation target {n} must be >= 1")
-    a, b = form.a, form.b
-    neg_disc = -form.discriminant
-    vmax = math.isqrt(4 * a * n // neg_disc)
-    two_a = 2 * a
-    for av in range(vmax + 1):
-        best = None
-        for v in (av, -av) if av else (0,):
-            disc = 4 * a * n - neg_disc * v * v
-            if disc < 0:
-                continue
-            t = math.isqrt(disc)
-            if t * t != disc:
-                continue
-            for s in (t, -t) if t else (0,):
-                num = -b * v + s
-                if num % two_a == 0:
-                    u = num // two_a
-                    key = (abs(u), 0 if v >= 0 else 1, 0 if u >= 0 else 1)
-                    if best is None or key < best[0]:
-                        best = (key, (u, v))
-        if best is not None:
-            return best[1]
-    return None
+    found = []
+    for u, v in form.ellipse_points(n):
+        if found and abs(v) > abs(found[0][1]):
+            break
+        found.append((u, v))
+    return min(found, key=lambda w: (abs(w[0]), w[1] < 0, w[0] < 0), default=None)
 
 
 def gauss_classify(p: int) -> PrimeClass:
@@ -202,7 +209,7 @@ def gauss_classify(p: int) -> PrimeClass:
         return PrimeClass(p, Branch.TWO_MOD3, None, 1, None)
     w_res = represent_by_form(RESIDUE_FORM, p)
     w_non = represent_by_form(NONRESIDUE_FORM, p)
-    euler_says_residue = cubic_residue_euler(2, p).tag is CubicTag.RESIDUE
+    euler_says_residue = is_cube_mod(2, p)
     if (w_res is None) == (w_non is None):
         raise ConsistencyError(f"{p}: forms represent it {'both ways' if w_res else 'no way'}")
     if w_res is not None:
@@ -221,8 +228,7 @@ def chi(k: int, p: int) -> float:
         raise DomainError(f"{p} must be a prime = 1 mod 3")
     if k % p == 0:
         raise DomainError(f"chi undefined when p = {p} divides k = {k}")
-    verdict = cubic_residue_euler((-k) % p, p)
-    return 1.0 if verdict.tag is CubicTag.RESIDUE else -0.5
+    return 1.0 if is_cube_mod(-k, p) else -0.5
 
 
 def rho_prime(k: int, p: int) -> int:
@@ -236,8 +242,7 @@ def rho_prime(k: int, p: int) -> int:
         return 1  # x^3 = 0 mod p forces p | x: exactly the root 0
     if p % 3 != 1:
         return 1
-    verdict = cubic_residue_euler((-k) % p, p)
-    return 3 if verdict.tag is CubicTag.RESIDUE else 0
+    return 3 if is_cube_mod(-k, p) else 0
 
 
 def rho(k: int, q: int) -> int:
@@ -255,13 +260,13 @@ def rho(k: int, q: int) -> int:
     return out
 
 
-def roots_mod(f: Polynomial, m: int, budget: int = BRUTE_FORCE_BUDGET) -> list[int]:
+def roots_mod(f: Polynomial, m: int) -> list[int]:
     """All roots of f mod m by linear scan of [0, m). Moduli above the scan
     budget raise ResourceError."""
     if m < 1:
         raise DomainError(f"modulus {m} must be >= 1")
-    if m > budget:
-        raise ResourceError(f"modulus {m} exceeds scan budget {budget}")
+    if m > BRUTE_FORCE_BUDGET:
+        raise ResourceError(f"modulus {m} exceeds scan budget {BRUTE_FORCE_BUDGET}")
     if m == 1:
         return [0]
     if m <= 64:

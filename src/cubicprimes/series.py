@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithTables, Polynomial, sieve_range
+from .arith import Polynomial, sieve_range
 from .dset import members_and_mobius
 from .errors import DomainError, ResourceError
 from .residues import QuadraticForm
@@ -51,7 +51,6 @@ def dirichlet_partial_sum(
     s: float,
     x: int,
     checkpoints: list[int] | None = None,
-    tables: ArithTables | None = None,
 ) -> list[PartialSumRecord]:
     """Partial sums of mu(n) log(n) / n^s over solvable moduli n <= x.
 
@@ -59,6 +58,8 @@ def dirichlet_partial_sum(
     is a single ascending left-to-right accumulation, so a checkpoint
     value never depends on what lies beyond it.
     """
+    if not math.isfinite(s):
+        raise DomainError(f"s = {s} is not finite")
     if s < 1:
         raise DomainError(f"s = {s} below 1")
     if x < 1:
@@ -69,7 +70,7 @@ def dirichlet_partial_sum(
         raise DomainError("checkpoints must be nonempty and ascending")
     if checkpoints[-1] > x or checkpoints[0] < 1:
         raise DomainError("checkpoints must lie in [1, x]")
-    members, mu = members_and_mobius(f, x, tables)
+    members, mu = members_and_mobius(f, x)
     keep = mu != 0
     members = members[keep]
     mu = mu[keep].astype(np.float64)
@@ -94,14 +95,12 @@ def _log_checkpoints(x_max: int) -> list[int]:
     return cps
 
 
-def kappa_trajectory(
-    f: Polynomial, x_max: int, tables: ArithTables | None = None
-) -> KappaTrajectory:
+def kappa_trajectory(f: Polynomial, x_max: int) -> KappaTrajectory:
     """s = 1 partial sums at decade checkpoints up to x_max, with the
     last-quartile limit estimate."""
     if x_max < 1:
         raise DomainError("x_max must be >= 1")
-    records = dirichlet_partial_sum(f, 1.0, x_max, _log_checkpoints(x_max), tables)
+    records = dirichlet_partial_sum(f, 1.0, x_max, _log_checkpoints(x_max))
     q = max(1, math.ceil(len(records) / 4))
     window = [r.value for r in records[-q:]]
     mean = sum(window) / len(window)
@@ -115,21 +114,7 @@ def epstein_r(form: QuadraticForm, n: int) -> int:
     sweep used by the partial sums."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    a, b = form.a, form.b
-    neg_disc = -form.discriminant
-    total = 0
-    vmax = math.isqrt(4 * a * n // neg_disc)
-    for v in range(-vmax, vmax + 1):
-        disc = 4 * a * n - neg_disc * v * v
-        if disc < 0:
-            continue
-        t = math.isqrt(disc)
-        if t * t != disc:
-            continue
-        for s in (t, -t) if t else (0,):
-            if (-b * v + s) % (2 * a) == 0:
-                total += 1
-    return total
+    return sum(1 for _ in form.ellipse_points(n))
 
 
 def _lattice_rows(form: QuadraticForm, n_max: int):
@@ -151,7 +136,9 @@ def _lattice_rows(form: QuadraticForm, n_max: int):
 def epstein_zeta_partial(form: QuadraticForm, s: float, n_max: int) -> float:
     """sum over nonzero lattice points with form value <= n_max of
     value^(-s), by direct double sum over the ellipse (never by per-n
-    recounting). Requires s > 1."""
+    recounting). Requires finite s > 1."""
+    if not math.isfinite(s):
+        raise DomainError(f"s = {s} is not finite")
     if s <= 1:
         raise DomainError(f"s = {s} must exceed 1 for the lattice sum")
     if n_max < 1:
@@ -178,10 +165,11 @@ def representation_counts(form: QuadraticForm, n_max: int) -> np.ndarray:
     return counts
 
 
-def epstein_mu_sum(
-    form: QuadraticForm, s: float, n_max: int, tables: ArithTables | None = None
-) -> float:
-    """sum over n <= n_max of mu(n) r(n) / n^s (s >= 1); empty when n_max = 0."""
+def epstein_mu_sum(form: QuadraticForm, s: float, n_max: int) -> float:
+    """sum over n <= n_max of mu(n) r(n) / n^s (finite s >= 1); empty when
+    n_max = 0."""
+    if not math.isfinite(s):
+        raise DomainError(f"s = {s} is not finite")
     if s < 1:
         raise DomainError(f"s = {s} below 1")
     if n_max < 0:
@@ -189,9 +177,7 @@ def epstein_mu_sum(
     if n_max == 0:
         return 0.0
     counts = representation_counts(form, n_max)
-    if tables is None or tables.limit < n_max:
-        tables = sieve_range(max(n_max, 2))
-    mu = tables.mu[: n_max + 1].astype(np.float64)
+    mu = sieve_range(max(n_max, 2)).mu[: n_max + 1].astype(np.float64)
     ns = np.arange(n_max + 1, dtype=np.float64)
     ns[0] = 1.0
     terms = mu * counts / ns**s

@@ -20,7 +20,9 @@ from cubicprimes import (
     epstein_r,
     epstein_zeta_partial,
     in_dset,
+    integer_cuberoot,
     prime_power_tail,
+    primes_up_to,
     rho_bruteforce,
 )
 from cubicprimes.verify import (
@@ -81,7 +83,7 @@ def test_a05_progression_closed_form(report):
 
 def test_a06_count_ratio_band(report, capsys):
     records = count_table(
-        2, [10**6, 10**9, 10**12, 10**15, 10**18], 10**6, threads=1)
+        2, [10**6, 10**9, 10**12, 10**15, 10**18], 10**6)
     with capsys.disabled():
         print("x,observed,predicted,ratio")
         for r in records:
@@ -102,6 +104,19 @@ def test_a07_prime_power_tail_bound(report):
         tail, bound = prime_power_tail(2, x)
         ok = ok and tail <= bound
         details.append(f"x=1e{round(math.log10(x))}: {tail:.3f}<={bound:.3f}")
+    # k = 2 has no prime-power values, so also check k = -2 (3^3 - 2 = 5^2)
+    # against an enumeration of prime powers p^e <= 1e6 with p^e + 2 = n^3
+    expected = 0.0
+    for p in primes_up_to(10**3).tolist():
+        q = p * p
+        while q <= 10**6:
+            n = integer_cuberoot(q + 2)
+            if n**3 == q + 2:
+                expected += n * math.log(p)
+            q *= p
+    tail, bound = prime_power_tail(-2, 10**6)
+    ok = ok and expected > 0 and math.isclose(tail, expected, rel_tol=1e-12) and tail <= bound
+    details.append(f"k=-2 x=1e6: {tail:.3f} (enumerated {expected:.3f})<={bound:.3f}")
     report(ok, "prime-power-tail-bound", ", ".join(details))
 
 
@@ -139,19 +154,16 @@ def test_a09_dset_membership_and_density(report):
            + " -> ".join(f"{r:.4f}" for r in ratios))
 
 
-def test_a10_cli_thread_determinism(report, tmp_path):
+def test_a10_cli_repeat_determinism(report, tmp_path):
     paths = []
-    for threads in (1, 8):
-        out = tmp_path / f"threads{threads}.csv"
-        code = cli.run([
-            "count", "--k", "2", "--x", str(10**9),
-            "--threads", str(threads), "--out", str(out),
-        ])
+    for run in (1, 2):
+        out = tmp_path / f"run{run}.csv"
+        code = cli.run(["count", "--k", "2", "--x", str(10**9), "--out", str(out)])
         assert code == 0
         paths.append(out)
     bodies = [
         [ln for ln in p.read_bytes().split(b"\n") if not ln.startswith(b"#")]
         for p in paths
     ]
-    report(bodies[0] == bodies[1], "cli-thread-determinism",
-           f"{len(bodies[0])} body lines byte-identical across --threads 1/8")
+    report(bodies[0] == bodies[1], "cli-repeat-determinism",
+           f"{len(bodies[0])} body lines byte-identical across two runs")

@@ -72,11 +72,13 @@ class TestSieve:
     def test_prime_count_below_million(self, tables_million):
         assert len(tables_million.primes) == 78498
 
-    def test_spf_divides_and_is_prime(self, tables_small):
-        for n in range(2, 500):
-            p = int(tables_small.spf[n])
-            assert n % p == 0
-            assert is_prime(p)
+    def test_mu_matches_factorization(self):
+        # covers both sieve steps: primes up to sqrt(limit) and those above
+        mu = sieve_range(10**5).mu
+        for n in range(1, 10**5 + 1):
+            factors = factorize(n).factors
+            expected = 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
+            assert mu[n] == expected, n
 
     def test_limit_guards(self):
         with pytest.raises(CapacityError):

@@ -52,6 +52,15 @@ class TestDirichletPartialSum:
         v2 = abs(dirichlet_partial_sum(CUBIC2, 2.0, 1000)[0].value)
         assert v2 < v1
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_s_refused(self, s):
+        with pytest.raises(DomainError):
+            dirichlet_partial_sum(CUBIC2, s, 100)
+        with pytest.raises(DomainError):
+            epstein_zeta_partial(RESIDUE, s, 100)
+        with pytest.raises(DomainError):
+            epstein_mu_sum(RESIDUE, s, 100)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             dirichlet_partial_sum(CUBIC2, 0.5, 100)
