@@ -26,7 +26,7 @@ from .arith import Polynomial, factorize, fixed_divisor, primes_up_to
 from .counting import (
     Weight,
     count_table,
-    prime_power_tail,
+    prime_power_tails,
     progression_weighted_sum,
     singular_series,
     weighted_lambda_sum,
@@ -241,10 +241,7 @@ def _cmd_tail(args: argparse.Namespace) -> OutputTable:
     xs = args.checkpoints or [args.x]
     if None in xs or not xs:
         raise DomainError("tail needs --x or --checkpoints")
-    rows = []
-    for x in xs:
-        tail, bound = prime_power_tail(args.k, x)
-        rows.append((x, tail, bound))
+    rows = [(x, tail, bound) for x, (tail, bound) in zip(xs, prime_power_tails(args.k, xs))]
     return OutputTable("tail", ("x", "tail", "bound"), rows, extra={"k": args.k})
 
 

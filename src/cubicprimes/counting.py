@@ -1,11 +1,16 @@
 """Counting primes of the form f(n) = n^3 + k and the sums that support
 the count's predicted main term.
 
-The observed side enumerates n, prescreens values against small-prime
-arithmetic progressions with numpy, and certifies survivors with
-deterministic Miller-Rabin. The predicted side is the truncated product
-over p = 1 mod 3 of (1 - 2*chi/(p-1)) times x^(1/3)/log x. Everything here
-is deterministic: the index range is walked once, in ascending segments.
+The observed side is one walk over the index range of n^3 + k in ascending
+65536-index segments. Each segment gives two masks: a progression sieve
+against small primes (survivors go to deterministic Miller-Rabin) and, for
+the Lambda sums, a residue filter that passes every value that could be a
+proper prime power (candidates go to exact integer roots). Counts, the
+weighted Lambda sums and the prime-power tail are reductions over that
+walk, so Lambda(v) is log v on a certified prime, log p on a certified p^e
+and 0 elsewhere, without factorising. The predicted side is the truncated
+product over p = 1 mod 3 of (1 - 2*chi/(p-1)) times x^(1/3)/log x.
+Everything here is deterministic: terms are taken in ascending n.
 """
 
 from __future__ import annotations
@@ -13,18 +18,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count, islice
 
 import numpy as np
 
 from .arith import (
     U64_MAX,
     Polynomial,
-    factorize,
     integer_cuberoot,
     integer_root,
     is_prime,
     primes_up_to,
-    sieve_range,
     sigma,
     tau,
     totient,
@@ -32,7 +36,7 @@ from .arith import (
 from .errors import CapacityError, DomainError, ResourceError
 from .residues import is_cube_mod, roots_mod
 
-RHS_BUDGET = 10**5  # lambda_sum_rhs scans roots mod every d <= x
+RHS_BUDGET = 10**5  # lambda_sum_rhs scans roots mod every prime <= x
 _SEGMENT = 1 << 16
 _ROOT_EXPONENTS = tuple(int(p) for p in primes_up_to(64))  # prime e with 2^e < 2^64
 
@@ -141,9 +145,9 @@ def _prescreen(k: int, bound: int) -> tuple[tuple[int, tuple[int, ...], int], ..
     return tuple(out)
 
 
-def _count_segment(k: int, lo: int, hi: int, prescreen) -> int:
-    """Primes n^3 + k for n in [lo, hi]: progression sieve, then Miller-Rabin
-    on the survivors."""
+def _alive(lo: int, hi: int, prescreen) -> np.ndarray:
+    """Progression sieve over n in [lo, hi]: False where a sieve prime p
+    divides n^3 + k > p."""
     alive = np.ones(hi - lo + 1, dtype=bool)
     for p, roots, tmin in prescreen:
         start = max(lo, tmin)
@@ -153,12 +157,7 @@ def _count_segment(k: int, lo: int, hi: int, prescreen) -> int:
             first = start + ((r - start) % p)
             if first <= hi:
                 alive[first - lo :: p] = False
-    total = 0
-    for n in np.flatnonzero(alive):
-        n = int(n) + lo
-        if is_prime(n * n * n + k):
-            total += 1
-    return total
+    return alive
 
 
 def _prescreen_bound(span: int) -> int:
@@ -169,18 +168,92 @@ def _prescreen_bound(span: int) -> int:
     return 10**4
 
 
-def _running_counts(k: int, bounds: list[int]) -> list[int]:
-    """Number of primes n^3 + k over n from min_index(k) up to each of the
-    ascending index bounds, in one walk of 65536-index segments."""
-    lo = min_index(k)
-    prescreen = _prescreen(k, _prescreen_bound(bounds[-1] - lo + 1))
-    totals, running = [], 0
+@lru_cache(maxsize=None)
+def _power_moduli(q: int) -> tuple[int, ...]:
+    """Moduli whose q-th power residues make up the filter for exponent q:
+    a value that is a q-th power is a q-th power residue mod every one."""
+    if q == 2:
+        return (64, 63, 65, 11)
+    if q == 3:
+        return (63, 13, 19, 37)
+    return tuple(islice((m for m in count(2 * q + 1, 2 * q) if is_prime(m)), 3))
+
+
+@lru_cache(maxsize=None)
+def _power_residues(q: int, m: int) -> np.ndarray:
+    """Boolean table of the q-th powers mod m (0 included)."""
+    residue = np.zeros(m, dtype=bool)
+    residue[[pow(s, q, m) for s in range(m)]] = True
+    return residue
+
+
+def _power_filter(k: int, bits: int) -> list[list[tuple[int, np.ndarray]]]:
+    """Per prime q < bits, ascending, its (m, table) pairs: table[n mod m]
+    says whether n^3 + k is a q-th power residue mod m."""
+    out = []
+    for q in _ROOT_EXPONENTS:
+        if q >= bits:
+            break
+        per_q = []
+        for m in _power_moduli(q):
+            r = np.arange(m, dtype=np.int64)
+            per_q.append((m, _power_residues(q, m)[(r * r * r + k % m) % m]))
+        out.append(per_q)
+    return out
+
+
+def _maybe_power(lo: int, size: int, power_filter) -> np.ndarray:
+    """True at offset i when n = lo + i passes every table of some q; a
+    necessary condition for n^3 + k = p^e with e >= 2."""
+    mask = np.zeros(size, dtype=bool)
+    offsets = np.arange(size, dtype=np.int64)
+    for per_q in power_filter:
+        cand = offsets
+        for m, table in per_q:
+            cand = cand[table[(cand + lo % m) % m]]
+        mask[cand] = True
+    return mask
+
+
+def _walk(k: int, lo: int, bounds: list[int], primes: bool = True, powers: bool = False):
+    """Walk n from lo through the ascending index bounds in 65536-index
+    segments. Yield (n, v, p) in ascending n for each value v = n^3 + k
+    that is prime (p = v, when primes is set) or a proper prime power p^e
+    (when powers is set), and None on reaching each bound.
+
+    Sieve survivors are certified by is_prime and filter candidates by
+    _prime_power_base; the masks only decide which values get tested.
+    """
+    prescreen = _prescreen(k, _prescreen_bound(bounds[-1] - lo + 1)) if primes else ()
+    power_filter = _power_filter(k, (bounds[-1] ** 3 + k).bit_length()) if powers else ()
     for b in bounds:
         while lo <= b:
             hi = min(lo + _SEGMENT - 1, b)
-            running += _count_segment(k, lo, hi, prescreen)
+            size = hi - lo + 1
+            alive = _alive(lo, hi, prescreen) if primes else np.zeros(size, dtype=bool)
+            maybe = _maybe_power(lo, size, power_filter) if powers else np.zeros(size, dtype=bool)
+            for i in np.flatnonzero(alive | maybe).tolist():
+                n = lo + i
+                v = n * n * n + k
+                if alive[i] and is_prime(v):
+                    yield n, v, v
+                elif maybe[i] and v >= 4:
+                    p = _prime_power_base(v)
+                    if p is not None:
+                        yield n, v, p
             lo = hi + 1
-        totals.append(running)
+        yield None
+
+
+def _running_counts(k: int, bounds: list[int]) -> list[int]:
+    """Number of primes n^3 + k over n from min_index(k) up to each of the
+    ascending index bounds, in one walk."""
+    totals, running = [], 0
+    for hit in _walk(k, min_index(k), bounds):
+        if hit is None:
+            totals.append(running)
+        else:
+            running += 1
     return totals
 
 
@@ -266,8 +339,10 @@ def weighted_lambda_sum(f: Polynomial, weight: Weight, x: int) -> WeightedSumRec
     """sum of weight(n) * Lambda(f(n)) over integers n with 1 <= f(n) <= x.
 
     tail_value collects the sub-sum where f(n) is a proper prime power
-    (exponent >= 2); bound is sqrt(x) * log(x)^2. Lambda comes from the
-    full factorization of each value.
+    (exponent >= 2); bound is sqrt(x) * log(x)^2. For x^3 + k the terms come
+    from the segmented walk (certified primes and certified prime powers);
+    any other cubic tests each value with is_prime and _prime_power_base.
+    Either way the terms are added in ascending n.
     """
     if f.degree != 3 or f.coefficients[-1] <= 0:
         raise DomainError("weighted sums need a cubic with positive leading coefficient")
@@ -277,33 +352,41 @@ def weighted_lambda_sum(f: Polynomial, weight: Weight, x: int) -> WeightedSumRec
         raise CapacityError(f"x = {x} exceeds the unsigned 64-bit value budget")
     k = f.pure_cubic_shift()
     if k is not None:
-        lo = _first_index_at_least(k, 1)
-        hi = max_index(k, x)
+        hits = _walk(k, _first_index_at_least(k, 1), [max_index(k, x)], powers=True)
     else:
-        a = f.coefficients[-1]
-        r = integer_cuberoot(x // a) + sum(abs(c) for c in f.coefficients) + 2
-        lo, hi = -r, r
+        hits = _value_hits(f, x)
     total = 0.0
     tail = 0.0
-    for n in range(lo, hi + 1):
-        v = f(n)
-        if v < 2 or v > x:
-            continue
-        fact = factorize(v)
-        if len(fact.factors) != 1:
-            continue
-        p, e = fact.factors[0]
+    for hit in hits:
+        if hit is None:
+            break
+        n, v, p = hit
         w = weight(n)
         if w == 0:
             continue
         term = w * math.log(p)
         total += term
-        if e >= 2:
+        if p != v:
             tail += term
     return WeightedSumRecord(
         x=x, weight=weight, value=total, tail_value=tail,
         bound=math.sqrt(x) * math.log(x) ** 2,
     )
+
+
+def _value_hits(f: Polynomial, x: int):
+    """(n, v, p) in ascending n for each value v = f(n) in [2, x] that is a
+    prime (p = v) or a proper prime power p^e, testing every n whose value
+    can lie in range."""
+    a = f.coefficients[-1]
+    r = integer_cuberoot(x // a) + sum(abs(c) for c in f.coefficients) + 2
+    for n in range(-r, r + 1):
+        v = f(n)
+        if v < 2 or v > x:
+            continue
+        p = v if is_prime(v) else _prime_power_base(v)
+        if p is not None:
+            yield n, v, p
 
 
 def _ap_sum(r: int, d: int, lo: int, hi: int) -> int:
@@ -317,12 +400,14 @@ def _ap_sum(r: int, d: int, lo: int, hi: int) -> int:
 
 def lambda_sum_rhs(k: int, x: int) -> float:
     """The divisor-side evaluation of the weighted sum with weight n:
-    -sum over d of mu(d) log d times (sum of n in the index range with
-    d | n^3 + k), the roots of n^3 = -k mod every d found by linear scan.
+    -sum over squarefree d of mu(d) log d times (sum of n in the index range
+    with d | n^3 + k), the terms added in ascending d.
 
-    The index range matches weighted_lambda_sum (1 <= n^3 + k <= x), so
-    every divisor that occurs is <= x and the two sides agree exactly up
-    to float rounding.
+    The roots of n^3 = -k mod each prime p <= x come from a linear scan; the
+    roots mod a squarefree d are built from those of its primes by CRT, and
+    mu(d) = (-1)^omega(d). The index range matches weighted_lambda_sum
+    (1 <= n^3 + k <= x), so every divisor that occurs is <= x and the two
+    sides agree exactly up to float rounding.
     """
     if x < 2:
         raise DomainError("x must be >= 2")
@@ -333,15 +418,23 @@ def lambda_sum_rhs(k: int, x: int) -> float:
     hi = max_index(k, x)
     if hi < lo:
         return 0.0
-    mu = sieve_range(x).mu
+    prime_roots = [(p, roots) for p in primes_up_to(x).tolist() if (roots := roots_mod(f, p))]
+    terms = {}  # squarefree d with a root -> (mu(d), sum of n in range with d | n^3 + k)
+    stack = [(1, 1, [0], 0)]  # d, mu(d), roots mod d, index of the next prime to try
+    while stack:
+        d, m, roots, j = stack.pop()
+        for i in range(j, len(prime_roots)):
+            p, p_roots = prime_roots[i]
+            dp = d * p
+            if dp > x:
+                break
+            inv = pow(d, -1, p)
+            crt = [r + d * ((t - r) * inv % p) for r in roots for t in p_roots]
+            terms[dp] = (-m, sum(_ap_sum(r, dp, lo, hi) for r in crt))
+            stack.append((dp, -m, crt, i + 1))
     total = 0.0
-    for d in range(2, x + 1):
-        m = int(mu[d])
-        if m == 0:
-            continue
-        s = 0
-        for r in roots_mod(f, d):
-            s += _ap_sum(r, d, lo, hi)
+    for d in sorted(terms):
+        m, s = terms[d]
         if s:
             total += m * math.log(d) * s
     return -total
@@ -378,26 +471,36 @@ def progression_weighted_sum(q: int, a: int, x: int) -> ProgressionSum:
 def prime_power_tail(k: int, x: int) -> tuple[float, float]:
     """(tail, bound): tail = sum of n * Lambda(n^3 + k) over n >= 1 whose
     value is a proper prime power p^v <= x with v >= 2; bound is the
-    comparison quantity sqrt(x) * log(x)^2.
+    comparison quantity sqrt(x) * log(x)^2. See prime_power_tails."""
+    return prime_power_tails(k, [x])[0]
 
-    Prime powers are detected by exact integer root extraction, not by
-    factoring: the largest v with an exact v-th root leaves a base that is
-    prime iff the value is a prime power.
+
+def prime_power_tails(k: int, checkpoints: list[int]) -> list[tuple[float, float]]:
+    """prime_power_tail at each of the ascending checkpoints, as running
+    totals of one walk ((0.0, 0.0) for x < 1).
+
+    Candidates are the values that pass the residue filter; each is
+    certified by exact integer roots and a primality test of the base,
+    not by factoring. The terms are added in ascending n.
     """
-    if x > U64_MAX:
-        raise CapacityError(f"x = {x} exceeds the unsigned 64-bit value budget")
-    if x < 1:
-        return 0.0, 0.0
-    tail = 0.0
+    if sorted(checkpoints) != list(checkpoints):
+        raise DomainError("checkpoints must be ascending")
+    if not checkpoints:
+        return []
+    if checkpoints[-1] > U64_MAX:
+        raise CapacityError(f"x = {checkpoints[-1]} exceeds the unsigned 64-bit value budget")
     lo = max(1, min_index(k))
-    for n in range(lo, max_index(k, x) + 1):
-        v = n * n * n + k
-        if v < 4:
-            continue
-        base = _prime_power_base(v)
-        if base is not None:
-            tail += n * math.log(base)
-    return tail, math.sqrt(x) * math.log(x) ** 2
+    hits = _walk(k, lo, [max(max_index(k, x), lo - 1) for x in checkpoints],
+                 primes=False, powers=True)
+    out, tail = [], 0.0
+    for x in checkpoints:
+        for hit in hits:
+            if hit is None:
+                break
+            n, _, p = hit
+            tail += n * math.log(p)
+        out.append((tail, math.sqrt(x) * math.log(x) ** 2) if x >= 1 else (0.0, 0.0))
+    return out
 
 
 def _prime_power_base(v: int) -> int | None:

@@ -183,6 +183,24 @@ class TestFlags:
             capsys, ["chebyshev", "--k", "2", "--x", "130", "--weight", "tau"])
         assert payload["rows"][0][1] == "tau"
 
+    def test_tail_checkpoints_are_one_walk(self, capsys, monkeypatch):
+        from cubicprimes import counting
+        walks = []
+        original = counting._walk
+
+        def counted_walk(*args, **kwargs):
+            walks.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "_walk", counted_walk)
+        _, payload = run_json(capsys, ["tail", "--k", "-2", "--checkpoints", "1000,1000000,1000000000"])
+        assert len(walks) == 1
+        assert payload["rows"] == [[x, *counting.prime_power_tail(-2, x)]
+                                   for x in (1000, 1000000, 1000000000)]
+
+    def test_tail_checkpoints_must_ascend(self, capsys):
+        assert cli.run(["tail", "--k", "-2", "--checkpoints", "1000000,1000"]) == 2
+
     def test_bad_int_list_is_usage_error(self, capsys):
         assert cli.run(["count", "--k", "2", "--checkpoints", "10,frog"]) == 2
 

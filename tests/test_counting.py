@@ -1,5 +1,6 @@
 import math
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -16,16 +17,27 @@ from cubicprimes import (
     count_table,
     enumerate_cubic_primes,
     factorize,
+    is_prime,
     lambda_sum_rhs,
     max_index,
     min_index,
     predicted_count,
     prime_power_tail,
+    prime_power_tails,
     primes_up_to,
     progression_weighted_sum,
     rho,
+    roots_mod,
+    sieve_range,
     singular_series,
     weighted_lambda_sum,
+)
+from cubicprimes.counting import (
+    _ROOT_EXPONENTS,
+    _alive,
+    _power_filter,
+    _power_moduli,
+    _prescreen,
 )
 
 CUBIC2 = Polynomial.cubic(2)
@@ -53,6 +65,53 @@ def lambda_by_trial_division(v: int) -> float:
             return 0.0
         base = m
     return math.log(base)
+
+
+@lru_cache(maxsize=None)
+def factorized_hits(f: Polynomial, x: int) -> tuple[tuple[int, int, int], ...]:
+    """(n, v, p) for every value v = f(n) in [2, x] that is a prime power p^e,
+    read off the full factorization of v: the value route of the Lambda sums
+    before the segmented walk, kept here as their reference."""
+    k = f.pure_cubic_shift()
+    if k is not None:
+        ns = range(min_index(k), max_index(k, x) + 1)
+    else:
+        r = math.isqrt(x) + sum(abs(c) for c in f.coefficients) + 2
+        ns = range(-r, r + 1)
+    out = []
+    for n in ns:
+        v = f(n)
+        if 2 <= v <= x:
+            factors = factorize(v).factors
+            if len(factors) == 1:
+                out.append((n, v, factors[0][0]))
+    return tuple(out)
+
+
+def reference_weighted_sum(f: Polynomial, weight: Weight, x: int) -> tuple[float, float]:
+    """(value, tail_value) summed over factorized_hits in ascending n."""
+    total = tail = 0.0
+    for n, v, p in factorized_hits(f, x):
+        w = weight(n)
+        if w == 0:
+            continue
+        term = w * math.log(p)
+        total += term
+        if p != v:
+            tail += term
+    return total, tail
+
+
+def reference_tail(k: int, x: int) -> float:
+    tail = 0.0
+    for n, v, p in factorized_hits(Polynomial.cubic(k), x):
+        if n >= 1 and p != v:
+            tail += n * math.log(p)
+    return tail
+
+
+ENGINE_K = (2, -2, 54, -54, 250, -128, 7, 17)
+ENGINE_X = (10**3, 10**6, 10**9)
 
 
 class TestIndexRange:
@@ -282,6 +341,22 @@ class TestLambdaSumRhs:
         lhs = weighted_lambda_sum(Polynomial.cubic(5), POWER1, 3000).value
         assert lambda_sum_rhs(5, 3000) == pytest.approx(lhs, rel=1e-9)
 
+    @pytest.mark.parametrize("k", [2, 54, -2])
+    def test_crt_roots_equal_scan_per_divisor(self, k):
+        # the route before CRT: mu from the sieve, roots by a scan mod every d
+        x = 3000
+        f = Polynomial.cubic(k)
+        lo, hi = min_index(k) - 1, max_index(k, x)
+        mu = sieve_range(x).mu
+        total = 0.0
+        for d in range(2, x + 1):
+            if mu[d]:
+                roots = roots_mod(f, d)
+                s = sum(n for n in range(lo, hi + 1) if n % d in roots)
+                if s:
+                    total += int(mu[d]) * math.log(d) * s
+        assert lambda_sum_rhs(k, x) == -total
+
 
 class TestProgressionSum:
     def test_reference_q5(self):
@@ -353,3 +428,64 @@ class TestPrimePowerTail:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             prime_power_tail(2, 2**64)
+
+
+class TestSegmentedWalk:
+    """The walk's Lambda sums and tails against the factorize-based value
+    route, float for float."""
+
+    @pytest.mark.parametrize("k", ENGINE_K)
+    @pytest.mark.parametrize(
+        "weight", [POWER1, Weight("totient"), Weight("sigma"), Weight("tau")], ids=str)
+    def test_weighted_sum_equals_factorized_route(self, k, weight):
+        f = Polynomial.cubic(k)
+        for x in ENGINE_X:
+            rec = weighted_lambda_sum(f, weight, x)
+            assert (rec.value, rec.tail_value) == reference_weighted_sum(f, weight, x)
+
+    @pytest.mark.parametrize("k", ENGINE_K)
+    def test_tails_equal_factorized_route(self, k):
+        expected = [reference_tail(k, x) for x in ENGINE_X]
+        assert [t for t, _ in prime_power_tails(k, list(ENGINE_X))] == expected
+        assert [prime_power_tail(k, x)[0] for x in ENGINE_X] == expected
+
+    @given(k=st.integers(-10**4, 10**4), x=st.integers(1, 10**7))
+    @settings(max_examples=60, deadline=None)
+    def test_random_shift_equals_factorized_route(self, k, x):
+        f = Polynomial.cubic(k)
+        rec = weighted_lambda_sum(f, POWER1, x)
+        assert (rec.value, rec.tail_value) == reference_weighted_sum(f, POWER1, x)
+        assert prime_power_tail(k, x)[0] == reference_tail(k, x)
+
+    def test_general_cubic_equals_factorized_route(self):
+        f = Polynomial((3, 2, 3, 1))
+        rec = weighted_lambda_sum(f, POWER1, 10**6)
+        assert (rec.value, rec.tail_value) == reference_weighted_sum(f, POWER1, 10**6)
+
+    def test_power_of_a_prescreen_prime_is_found(self):
+        # 3^3 - 2 = 5^2: the progression sieve strikes n = 3 (5 divides 25),
+        # so only the power filter can hand this value on
+        assert not _alive(3, 3, _prescreen(-2, 1000))[0]
+        rec = weighted_lambda_sum(Polynomial.cubic(-2), POWER1, 10**9)
+        assert rec.tail_value == 3 * math.log(5)
+        assert prime_power_tail(-2, 10**14)[0] == 3 * math.log(5)
+
+    def test_power_filter_passes_every_power(self):
+        for i, q in enumerate(_ROOT_EXPONENTS):
+            if q > 3:
+                assert all(is_prime(m) and m % q == 1 for m in _power_moduli(q))
+            for b in range(2, 201):
+                v = b**q
+                if v >= 2**64:
+                    break
+                for n in (-7, 0, 1, 12, 999, 2**21 + 5):
+                    tables = _power_filter(v - n**3, q + 1)[i]
+                    assert all(table[n % m] for m, table in tables), (b, q, n)
+
+    def test_tails_need_ascending_checkpoints(self):
+        assert prime_power_tails(2, []) == []
+        assert prime_power_tails(2, [0, 130]) == [(0.0, 0.0), prime_power_tail(2, 130)]
+        with pytest.raises(DomainError):
+            prime_power_tails(2, [10**6, 10**3])
+        with pytest.raises(CapacityError):
+            prime_power_tails(2, [10, 2**64])

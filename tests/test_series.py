@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,12 +115,8 @@ class TestEpsteinR:
            form=st.sampled_from((SQUARES, RESIDUE, NONRESIDUE)))
     @settings(max_examples=200)
     def test_agrees_with_direct_lattice_count(self, n, form):
-        direct = sum(
-            1
-            for u in range(-n, n + 1)
-            for v in range(-n, n + 1)
-            if form(u, v) == n
-        )
+        u, v = np.meshgrid(np.arange(-n, n + 1), np.arange(-n, n + 1))
+        direct = int(np.count_nonzero(form(u, v) == n))
         assert epstein_r(form, n) == direct
 
 
