@@ -19,8 +19,9 @@ from pathlib import Path
 BENCH_K = (2, 54, -54, 250, -128)  # the benchmark's shifts
 
 COMMANDS = [
-    ["count", "--k", "2", "--checkpoints", "1000000,1000000000,1000000000000"],
-    ["constant", "--k", "2", "--checkpoints", "100,10000,1000000"],
+    *(["count", "--k", str(k), "--checkpoints", "1000000,1000000000,1000000000000"]
+      for k in BENCH_K),
+    *(["constant", "--k", str(k), "--checkpoints", "100,10000,1000000"] for k in BENCH_K),
     ["dset", "--k", "2", "--x", "100000"],
     ["dseries", "--k", "2", "--x", "100000"],
     ["epstein", "--form", "1,0,27", "--s", "1", "--mu", "--x", "100000"],
@@ -28,9 +29,15 @@ COMMANDS = [
     ["chebyshev", "--k", "2", "--x", "1000000"],
     ["tail", "--k", "-2", "--checkpoints", "1000,1000000"],
     ["rho", "--k", "2", "--q", "31"],
+    ["rho", "--k", "54", "--q", "30"],
+    ["rho", "--k", "2", "--q", "30030"],
+    ["dset", "--k", "54", "--x", "1000000"],
+    ["dseries", "--k", "250", "--x", "1000000"],
     ["residue", "--a", "2", "--p", "31"],
     ["lemma4", "--q", "31", "--a", "-2", "--x", "100"],
     ["verify", "--suite", "all", "--scale", "tiny"],
+    ["verify", "--suite", "rho", "--scale", "full", "--k", "54"],
+    ["verify", "--suite", "all", "--scale", "full"],
     *(["chebyshev", "--k", str(k), "--x", "10000000000000"] for k in BENCH_K),
     *(["chebyshev", "--k", "2", "--x", "1000000000", "--weight", w]
       for w in ("totient", "sigma", "tau")),

@@ -6,13 +6,10 @@ from .arith import (
     ArithTables,
     Factorization,
     Polynomial,
-    divisors,
     factorize,
     fixed_divisor,
-    integer_cuberoot,
     integer_root,
     is_prime,
-    mobius,
     primes_up_to,
     sieve_range,
     sigma,
@@ -34,7 +31,6 @@ from .counting import (
     min_index,
     predicted_count,
     prime_power_tail,
-    prime_power_tails,
     progression_weighted_sum,
     singular_series,
     weighted_lambda_sum,
@@ -61,7 +57,6 @@ from .residues import (
     PrimeClass,
     QuadraticForm,
     chi,
-    cubic_character_exponent,
     cubic_residue_euler,
     gauss_classify,
     primitive_cube_root,
@@ -84,21 +79,20 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArithTables", "Factorization", "Polynomial", "divisors", "factorize",
-    "fixed_divisor", "integer_cuberoot", "integer_root", "is_prime", "mobius",
-    "primes_up_to", "sieve_range", "sigma", "tau", "totient", "von_mangoldt",
-    "von_mangoldt_via_mobius",
+    "ArithTables", "Factorization", "Polynomial", "factorize", "fixed_divisor",
+    "integer_root", "is_prime", "primes_up_to", "sieve_range", "sigma", "tau",
+    "totient", "von_mangoldt", "von_mangoldt_via_mobius",
     "CountRecord", "ProgressionSum", "Weight", "WeightedSumRecord",
     "count_cubic_primes", "count_table", "enumerate_cubic_primes",
     "lambda_sum_rhs", "max_index", "min_index", "predicted_count",
-    "prime_power_tail", "prime_power_tails", "progression_weighted_sum",
-    "singular_series", "weighted_lambda_sum",
+    "prime_power_tail", "progression_weighted_sum", "singular_series",
+    "weighted_lambda_sum",
     "DsetStats", "dset_density", "enumerate_dset", "in_dset", "members_and_mobius",
     "CapacityError", "ConsistencyError", "DomainError", "ResourceError",
     "NONRESIDUE_FORM", "RESIDUE_FORM", "Branch", "CubicClass", "CubicTag",
-    "PrimeClass", "QuadraticForm", "chi", "cubic_character_exponent",
-    "cubic_residue_euler", "gauss_classify", "primitive_cube_root", "rho",
-    "rho_bruteforce", "rho_prime", "roots_mod",
+    "PrimeClass", "QuadraticForm", "chi", "cubic_residue_euler",
+    "gauss_classify", "primitive_cube_root", "rho", "rho_bruteforce",
+    "rho_prime", "roots_mod",
     "KappaTrajectory", "PartialSumRecord", "dirichlet_partial_sum",
     "epstein_mu_sum", "epstein_r", "epstein_zeta_partial", "kappa_trajectory",
     "representation_counts",

@@ -105,12 +105,6 @@ class Factorization:
     n: int
     factors: tuple[tuple[int, int], ...]
 
-    def reassemble(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
     @property
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
@@ -161,13 +155,6 @@ def primes_up_to(limit: int) -> np.ndarray:
         if flags[p]:
             flags[p * p :: p] = False
     return np.flatnonzero(flags).astype(np.int64)
-
-
-def mobius(n: int, tables: ArithTables) -> int:
-    """Mobius function looked up from sieved tables."""
-    if n < 1 or n > tables.limit:
-        raise DomainError(f"mobius argument {n} outside table range [1, {tables.limit}]")
-    return int(tables.mu[n])
 
 
 # Strong-pseudoprime bases covering every n < 2^64; any composite in that
@@ -267,14 +254,6 @@ def factorize(n: int) -> Factorization:
     return Factorization(n=n, factors=tuple(sorted(found.items())))
 
 
-def divisors(fact: Factorization) -> list[int]:
-    """All divisors of the factored integer, ascending."""
-    out = [1]
-    for p, e in fact.factors:
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return sorted(out)
-
-
 def von_mangoldt(n: int) -> float:
     """log p when n is a prime power p^v (v >= 1), else 0. Computed from the
     factorization so it works far beyond any sieve table."""
@@ -324,20 +303,6 @@ def von_mangoldt_via_mobius(n: int) -> float:
             break
         exps[i] += 1
     return -total
-
-
-def integer_cuberoot(n: int) -> int:
-    """floor(n^(1/3)) exactly, including at perfect-cube boundaries."""
-    if n < 0:
-        raise DomainError(f"cube root argument {n} must be >= 0")
-    if n == 0:
-        return 0
-    x = int(round(n ** (1.0 / 3.0)))
-    while x > 0 and x * x * x > n:
-        x -= 1
-    while (x + 1) ** 3 <= n:
-        x += 1
-    return x
 
 
 def integer_root(n: int, k: int) -> int:

@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from . import __version__
-from .arith import Polynomial, factorize, fixed_divisor, primes_up_to
+from .arith import Polynomial, factorize, fixed_divisor
 from .counting import (
     Weight,
     count_table,
-    prime_power_tails,
+    prime_power_tail,
     progression_weighted_sum,
     singular_series,
     weighted_lambda_sum,
@@ -139,8 +139,7 @@ def _cmd_constant(args: argparse.Namespace) -> OutputTable:
     cutoffs = args.checkpoints or [args.pmax]
     if sorted(cutoffs) != cutoffs:
         raise DomainError("cutoffs must be ascending")
-    primes = primes_up_to(max(cutoffs))
-    rows = [(args.k, c, singular_series(args.k, c, primes=primes)) for c in cutoffs]
+    rows = [(args.k, c, singular_series(args.k, c)) for c in cutoffs]
     return OutputTable("constant", ("k", "p_cutoff", "value"), rows)
 
 
@@ -241,7 +240,7 @@ def _cmd_tail(args: argparse.Namespace) -> OutputTable:
     xs = args.checkpoints or [args.x]
     if None in xs or not xs:
         raise DomainError("tail needs --x or --checkpoints")
-    rows = [(x, tail, bound) for x, (tail, bound) in zip(xs, prime_power_tails(args.k, xs))]
+    rows = [(x, tail, bound) for x, (tail, bound) in zip(xs, prime_power_tail(args.k, xs))]
     return OutputTable("tail", ("x", "tail", "bound"), rows, extra={"k": args.k})
 
 

@@ -9,7 +9,8 @@ proper prime power (candidates go to exact integer roots). Counts, the
 weighted Lambda sums and the prime-power tail are reductions over that
 walk, so Lambda(v) is log v on a certified prime, log p on a certified p^e
 and 0 elsewhere, without factorising. The predicted side is the truncated
-product over p = 1 mod 3 of (1 - 2*chi/(p-1)) times x^(1/3)/log x.
+product over primes p of 1 - (rho_p - 1)/(p - 1), rho_p the number of
+roots of x^3 + k mod p, times x^(1/3)/log x.
 Everything here is deterministic: terms are taken in ascending n.
 """
 
@@ -25,7 +26,6 @@ import numpy as np
 from .arith import (
     U64_MAX,
     Polynomial,
-    integer_cuberoot,
     integer_root,
     is_prime,
     primes_up_to,
@@ -34,9 +34,10 @@ from .arith import (
     totient,
 )
 from .errors import CapacityError, DomainError, ResourceError
-from .residues import is_cube_mod, roots_mod
+from .residues import _rho_prime, roots_mod
 
 RHS_BUDGET = 10**5  # lambda_sum_rhs scans roots mod every prime <= x
+PROGRESSION_BUDGET = 10**7  # progression_weighted_sum adds up to x // q terms per class
 _SEGMENT = 1 << 16
 _ROOT_EXPONENTS = tuple(int(p) for p in primes_up_to(64))  # prime e with 2^e < 2^64
 
@@ -111,8 +112,8 @@ def _first_index_at_least(k: int, w: int) -> int:
     """Smallest n with n^3 + k >= w."""
     t = w - k
     if t <= 0:
-        return -integer_cuberoot(-t)
-    return integer_cuberoot(t - 1) + 1
+        return -integer_root(-t, 3)
+    return integer_root(t - 1, 3) + 1
 
 
 def min_index(k: int) -> int:
@@ -124,8 +125,8 @@ def max_index(k: int, x: int) -> int:
     """Largest n with n^3 + k <= x."""
     t = x - k
     if t >= 0:
-        return integer_cuberoot(t)
-    return -(integer_cuberoot(-t - 1) + 1)
+        return integer_root(t, 3)
+    return -(integer_root(-t - 1, 3) + 1)
 
 
 @lru_cache(maxsize=8)
@@ -138,7 +139,7 @@ def _prescreen(k: int, bound: int) -> tuple[tuple[int, tuple[int, ...], int], ..
         roots = roots_mod(f, p)
         if not roots:
             continue
-        t = integer_cuberoot(max(p - k, 0))
+        t = integer_root(max(p - k, 0), 3)
         while t**3 + k <= p:
             t += 1
         out.append((p, tuple(roots), t))
@@ -276,9 +277,12 @@ def enumerate_cubic_primes(k: int, n_max: int) -> list[tuple[int, int]]:
     return out
 
 
-def singular_series(k: int, p_cutoff: int, primes: np.ndarray | None = None) -> float:
-    """Truncated product over primes p = 1 mod 3, p not dividing k, of
-    1 - 2*chi(-k, p)/(p - 1), taken in increasing p order.
+def singular_series(k: int, p_cutoff: int) -> float:
+    """Truncated product over primes p <= p_cutoff of the local factor
+    1 - (rho_p - 1)/(p - 1), rho_p the number of roots of x^3 + k mod p,
+    taken in increasing p order. Only p = 1 mod 3 not dividing k move it:
+    by 1 - 2/(p - 1) when -k is a cube mod p (3 roots), by 1 + 1/(p - 1)
+    otherwise (none).
 
     The product converges only conditionally, so the order is part of the
     contract; truncations oscillate slowly as the cutoff grows. A cube k
@@ -286,19 +290,12 @@ def singular_series(k: int, p_cutoff: int, primes: np.ndarray | None = None) -> 
     """
     if p_cutoff < 0:
         raise DomainError("p_cutoff must be >= 0")
-    if integer_cuberoot(abs(k)) ** 3 == abs(k):
+    if integer_root(abs(k), 3) ** 3 == abs(k):
         raise DomainError(f"x^3 + {k} is reducible: {k} is a cube")
-    if primes is None:
-        primes = primes_up_to(p_cutoff) if p_cutoff >= 2 else np.empty(0, dtype=np.int64)
     out = 1.0
-    for p in primes:
+    for p in primes_up_to(p_cutoff):
         p = int(p)
-        if p > p_cutoff:
-            break
-        if p % 3 != 1 or k % p == 0:
-            continue
-        c = 1.0 if is_cube_mod(-k, p) else -0.5
-        out *= 1.0 - 2.0 * c / (p - 1)
+        out *= 1 - (_rho_prime(k, p) - 1) / (p - 1)
     return out
 
 
@@ -379,7 +376,7 @@ def _value_hits(f: Polynomial, x: int):
     prime (p = v) or a proper prime power p^e, testing every n whose value
     can lie in range."""
     a = f.coefficients[-1]
-    r = integer_cuberoot(x // a) + sum(abs(c) for c in f.coefficients) + 2
+    r = integer_root(x // a, 3) + sum(abs(c) for c in f.coefficients) + 2
     for n in range(-r, r + 1):
         v = f(n)
         if v < 2 or v > x:
@@ -447,9 +444,12 @@ def progression_weighted_sum(q: int, a: int, x: int) -> ProgressionSum:
     formula q*M*(M+1)/2 + b*M + b with M = floor((x-b)/q), whose final +b
     is the m = 0 term that the uncorrected q*M*(M+1)/2 + b*M form drops
     (for q=5, b=2, x=20 the uncorrected form gives 36 against a true 38).
+    x // q above PROGRESSION_BUDGET raises ResourceError.
     """
     if q < 1 or x < 1:
         raise DomainError("q and x must be >= 1")
+    if x // q > PROGRESSION_BUDGET:
+        raise ResourceError(f"x // q = {x // q} exceeds the term budget {PROGRESSION_BUDGET}")
     roots = tuple(roots_mod(Polynomial((-a, 0, 0, 1)), q))
     exact = 0
     closed = 0
@@ -468,16 +468,11 @@ def progression_weighted_sum(q: int, a: int, x: int) -> ProgressionSum:
     )
 
 
-def prime_power_tail(k: int, x: int) -> tuple[float, float]:
-    """(tail, bound): tail = sum of n * Lambda(n^3 + k) over n >= 1 whose
+def prime_power_tail(k: int, checkpoints: list[int]) -> list[tuple[float, float]]:
+    """(tail, bound) at each of the ascending checkpoints x, as running
+    totals of one walk: tail = sum of n * Lambda(n^3 + k) over n >= 1 whose
     value is a proper prime power p^v <= x with v >= 2; bound is the
-    comparison quantity sqrt(x) * log(x)^2. See prime_power_tails."""
-    return prime_power_tails(k, [x])[0]
-
-
-def prime_power_tails(k: int, checkpoints: list[int]) -> list[tuple[float, float]]:
-    """prime_power_tail at each of the ascending checkpoints, as running
-    totals of one walk ((0.0, 0.0) for x < 1).
+    comparison quantity sqrt(x) * log(x)^2. Both are 0.0 for x < 1.
 
     Candidates are the values that pass the residue filter; each is
     certified by exact integer roots and a primality test of the base,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .arith import Polynomial, factorize, primes_up_to, sieve_range
 from .errors import DomainError, ResourceError
-from .residues import is_cube_mod, roots_mod
+from .residues import _rho_prime, roots_mod
 
 ENUMERATION_LIMIT = 10**7
 GENERAL_POLY_LIMIT = 10**5  # per-prime root scans get quadratic beyond this
@@ -73,10 +73,7 @@ def in_dset(f: Polynomial, d: int) -> bool:
 def _solvable_mod_prime(f: Polynomial, p: int) -> bool:
     k = f.pure_cubic_shift()
     if k is not None:
-        # cube map is onto for p = 3 and p = 2 mod 3; otherwise Euler test on -k
-        if k % p == 0 or p % 3 != 1:
-            return True
-        return is_cube_mod(-k, p)
+        return _rho_prime(k, p) > 0
     return bool(roots_mod(f, p))
 
 

@@ -164,18 +164,6 @@ def cubic_residue_euler(a: int, p: int) -> CubicClass:
     raise ConsistencyError(f"a^((p-1)/3) mod {p} is not a cube root of unity")
 
 
-def cubic_character_exponent(a: int, p: int) -> int:
-    """m in {0, 1, 2} with a^((p-1)/3) = zeta^m mod p; requires p = 1 mod 3
-    and gcd(a, p) = 1."""
-    if not is_prime(p) or p % 3 != 1:
-        raise DomainError(f"{p} must be a prime = 1 mod 3")
-    if a % p == 0:
-        raise DomainError(f"{a} is not coprime to {p}")
-    result = cubic_residue_euler(a, p)
-    assert result.exponent is not None
-    return result.exponent
-
-
 def represent_by_form(form: QuadraticForm, n: int) -> tuple[int, int] | None:
     """The canonical representation (u, v) of n by the form, or None.
 
@@ -221,6 +209,15 @@ def gauss_classify(p: int) -> PrimeClass:
     return PrimeClass(p, Branch.NONRESIDUE_FORM, w_non, 0, -0.5)
 
 
+def _rho_prime(k: int, p: int) -> int:
+    """Number of roots of x^3 + k = 0 mod a prime p (the caller checks p):
+    1 when p | k (x^3 = 0 forces x = 0) or p != 1 mod 3 (the cube map is
+    onto), else 3 or 0 by Euler's test on -k."""
+    if k % p == 0 or p % 3 != 1:
+        return 1
+    return 3 if is_cube_mod(-k, p) else 0
+
+
 def chi(k: int, p: int) -> float:
     """Series factor for the x^3 + k family at p = 1 mod 3: +1 when -k is a
     cube mod p, else -1/2."""
@@ -228,25 +225,19 @@ def chi(k: int, p: int) -> float:
         raise DomainError(f"{p} must be a prime = 1 mod 3")
     if k % p == 0:
         raise DomainError(f"chi undefined when p = {p} divides k = {k}")
-    return 1.0 if is_cube_mod(-k, p) else -0.5
+    return 1.0 if _rho_prime(k, p) == 3 else -0.5
 
 
 def rho_prime(k: int, p: int) -> int:
-    """Number of roots of x^3 + k = 0 mod prime p: always 1 off the
-    p = 1 mod 3 branch, 3 or 0 on it by the residuacity of -k."""
+    """Number of roots of x^3 + k = 0 mod prime p, by _rho_prime once p
+    is checked to be prime."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    if k % p == 0:
-        if p <= 10**5:
-            return len(roots_mod(Polynomial.cubic(k), p))
-        return 1  # x^3 = 0 mod p forces p | x: exactly the root 0
-    if p % 3 != 1:
-        return 1
-    return 3 if is_cube_mod(-k, p) else 0
+    return _rho_prime(k, p)
 
 
 def rho(k: int, q: int) -> int:
-    """Roots of x^3 + k mod squarefree q, multiplicatively from rho_prime."""
+    """Roots of x^3 + k mod squarefree q, multiplicatively over its primes."""
     if q < 1:
         raise DomainError(f"modulus {q} must be >= 1")
     fact = factorize(q)
@@ -254,7 +245,7 @@ def rho(k: int, q: int) -> int:
         raise DomainError(f"{q} is not squarefree; use rho_bruteforce for general moduli")
     out = 1
     for p in fact.distinct_primes:
-        out *= rho_prime(k, p)
+        out *= _rho_prime(k, p)
         if out == 0:
             break
     return out

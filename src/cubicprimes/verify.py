@@ -192,8 +192,8 @@ def progression_checks(trials: int, seed: int, q_max: int, x_max: int,
 
 
 def run_suite(suite: str, scale: str = "tiny", *, n_max: int | None = None,
-              p_max: int | None = None, sample_seed: int = 0, k: int = 2,
-              xs: tuple[int, ...] | None = None) -> list[CheckResult]:
+              p_max: int | None = None, sample_seed: int = 0,
+              k: int = 2) -> list[CheckResult]:
     """Run one named suite (or all of them) and return its check results."""
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
@@ -209,7 +209,7 @@ def run_suite(suite: str, scale: str = "tiny", *, n_max: int | None = None,
     if suite in ("rho", "all"):
         out.append(rho_against_scan(n_max or b["rho_q"], k))
     if suite in ("eq3", "all"):
-        out.extend(lambda_identity(xs or b["eq3_x"], k))
+        out.extend(lambda_identity(b["eq3_x"], k))
     if suite in ("lemma4", "all"):
         out.extend(progression_checks(
             b["lemma4_trials"], sample_seed, b["lemma4_q"], b["lemma4_x"], -k))

@@ -20,7 +20,7 @@ from cubicprimes import (
     epstein_r,
     epstein_zeta_partial,
     in_dset,
-    integer_cuberoot,
+    integer_root,
     prime_power_tail,
     primes_up_to,
     rho_bruteforce,
@@ -97,11 +97,11 @@ def test_a06_count_ratio_band(report, capsys):
 
 
 def test_a07_prime_power_tail_bound(report):
-    tail_130, _ = prime_power_tail(2, 130)
+    tail_130, _ = prime_power_tail(2, [130])[0]
     ok = tail_130 == 0.0
     details = [f"tail(2,130)={tail_130:g}"]
     for x in (10**3, 10**6, 10**9, 10**12):
-        tail, bound = prime_power_tail(2, x)
+        tail, bound = prime_power_tail(2, [x])[0]
         ok = ok and tail <= bound
         details.append(f"x=1e{round(math.log10(x))}: {tail:.3f}<={bound:.3f}")
     # k = 2 has no prime-power values, so also check k = -2 (3^3 - 2 = 5^2)
@@ -110,11 +110,11 @@ def test_a07_prime_power_tail_bound(report):
     for p in primes_up_to(10**3).tolist():
         q = p * p
         while q <= 10**6:
-            n = integer_cuberoot(q + 2)
+            n = integer_root(q + 2, 3)
             if n**3 == q + 2:
                 expected += n * math.log(p)
             q *= p
-    tail, bound = prime_power_tail(-2, 10**6)
+    tail, bound = prime_power_tail(-2, [10**6])[0]
     ok = ok and expected > 0 and math.isclose(tail, expected, rel_tol=1e-12) and tail <= bound
     details.append(f"k=-2 x=1e6: {tail:.3f} (enumerated {expected:.3f})<={bound:.3f}")
     report(ok, "prime-power-tail-bound", ", ".join(details))

@@ -8,13 +8,10 @@ from cubicprimes import (
     CapacityError,
     DomainError,
     Polynomial,
-    divisors,
     factorize,
     fixed_divisor,
-    integer_cuberoot,
     integer_root,
     is_prime,
-    mobius,
     primes_up_to,
     sieve_range,
     sigma,
@@ -92,21 +89,16 @@ class TestSieve:
 
 class TestMobius:
     def test_reference_values(self, tables_small):
-        assert mobius(1, tables_small) == 1
-        assert mobius(30, tables_small) == -1
-        assert mobius(12, tables_small) == 0
-
-    def test_out_of_range(self, tables_small):
-        with pytest.raises(DomainError):
-            mobius(0, tables_small)
-        with pytest.raises(DomainError):
-            mobius(10**4 + 1, tables_small)
+        assert tables_small.mu[1] == 1
+        assert tables_small.mu[30] == -1
+        assert tables_small.mu[12] == 0
 
     @given(m=st.integers(1, 999), n=st.integers(1, 999))
     @settings(max_examples=300)
     def test_multiplicative_on_coprime_pairs(self, tables_million, m, n):
         assume(math.gcd(m, n) == 1)
-        assert mobius(m * n, tables_million) == mobius(m, tables_million) * mobius(n, tables_million)
+        mu = tables_million.mu
+        assert mu[m * n] == mu[m] * mu[n]
 
 
 class TestVonMangoldt:
@@ -178,30 +170,26 @@ class TestFactorize:
     @settings(max_examples=150, deadline=None)
     def test_roundtrip_and_certified_primes(self, n):
         fact = factorize(n)
-        assert fact.reassemble() == n
+        assert math.prod(p**e for p, e in fact.factors) == n
         for p, e in fact.factors:
             assert e >= 1
             assert is_prime(p)
 
-    def test_divisors(self):
-        assert divisors(factorize(66)) == [1, 2, 3, 6, 11, 22, 33, 66]
-        assert divisors(factorize(1)) == [1]
-
 
 class TestIntegerRoots:
     def test_cuberoot_reference(self):
-        assert integer_cuberoot(0) == 0
-        assert integer_cuberoot(124) == 4
-        assert integer_cuberoot(125) == 5
+        assert integer_root(0, 3) == 0
+        assert integer_root(124, 3) == 4
+        assert integer_root(125, 3) == 5
 
     def test_cuberoot_domain(self):
         with pytest.raises(DomainError):
-            integer_cuberoot(-1)
+            integer_root(-1, 3)
 
     @given(st.integers(0, 10**20))
     @settings(max_examples=300)
     def test_cuberoot_floor_property(self, n):
-        r = integer_cuberoot(n)
+        r = integer_root(n, 3)
         assert r**3 <= n < (r + 1) ** 3
 
     @given(st.integers(0, 10**18), st.integers(2, 8))

@@ -85,6 +85,12 @@ class TestExitCodes:
         argv = ["epstein", "--form", "1,0,1", "--s", "2", "--x", str(10**7 + 1)]
         assert cli.run(argv) == 3
 
+    @pytest.mark.parametrize("q,x", [(1, 10**12), (3, 3 * (10**7 + 1))])
+    def test_lemma4_term_budget(self, capsys, q, x):
+        assert cli.run(["lemma4", "--q", str(q), "--a", "1", "--x", str(x)]) == 3
+        captured = capsys.readouterr()
+        assert "budget" in captured.err and captured.out == ""
+
     def test_consistency_error(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise ConsistencyError("routes disagree")
@@ -195,7 +201,7 @@ class TestFlags:
         monkeypatch.setattr(counting, "_walk", counted_walk)
         _, payload = run_json(capsys, ["tail", "--k", "-2", "--checkpoints", "1000,1000000,1000000000"])
         assert len(walks) == 1
-        assert payload["rows"] == [[x, *counting.prime_power_tail(-2, x)]
+        assert payload["rows"] == [[x, *counting.prime_power_tail(-2, [x])[0]]
                                    for x in (1000, 1000000, 1000000000)]
 
     def test_tail_checkpoints_must_ascend(self, capsys):

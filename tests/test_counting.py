@@ -23,7 +23,6 @@ from cubicprimes import (
     min_index,
     predicted_count,
     prime_power_tail,
-    prime_power_tails,
     primes_up_to,
     progression_weighted_sum,
     rho,
@@ -402,32 +401,32 @@ class TestProgressionSum:
 
 class TestPrimePowerTail:
     def test_no_tail_below_130(self):
-        tail, bound = prime_power_tail(2, 130)
+        tail, bound = prime_power_tail(2, [130])[0]
         assert tail == 0.0
         assert bound == pytest.approx(math.sqrt(130) * math.log(130) ** 2, rel=1e-15)
 
     def test_square_at_nine(self):
-        tail, _ = prime_power_tail(1, 9)
+        tail, _ = prime_power_tail(1, [9])[0]
         assert tail == pytest.approx(2 * math.log(3), rel=1e-15)
 
     def test_empty_range(self):
-        assert prime_power_tail(2, 1) == (0.0, 0.0)
+        assert prime_power_tail(2, [1])[0] == (0.0, 0.0)
 
     def test_three_prime_powers_for_shift_17(self):
-        tail, bound = prime_power_tail(17, 600)
+        tail, bound = prime_power_tail(17, [600])[0]
         expected = 2 * math.log(5) + 4 * math.log(3) + 8 * math.log(23)
         assert tail == pytest.approx(expected, rel=1e-13)
         assert tail <= bound
 
     def test_matches_weighted_tail_when_no_negative_indices(self):
         for k in (1, 2):
-            tail, _ = prime_power_tail(k, 10**4)
+            tail, _ = prime_power_tail(k, [10**4])[0]
             rec = weighted_lambda_sum(Polynomial.cubic(k), POWER1, 10**4)
             assert tail == pytest.approx(rec.tail_value, rel=1e-13, abs=1e-13)
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            prime_power_tail(2, 2**64)
+            prime_power_tail(2, [2**64])
 
 
 class TestSegmentedWalk:
@@ -446,8 +445,8 @@ class TestSegmentedWalk:
     @pytest.mark.parametrize("k", ENGINE_K)
     def test_tails_equal_factorized_route(self, k):
         expected = [reference_tail(k, x) for x in ENGINE_X]
-        assert [t for t, _ in prime_power_tails(k, list(ENGINE_X))] == expected
-        assert [prime_power_tail(k, x)[0] for x in ENGINE_X] == expected
+        assert [t for t, _ in prime_power_tail(k, list(ENGINE_X))] == expected
+        assert [prime_power_tail(k, [x])[0][0] for x in ENGINE_X] == expected
 
     @given(k=st.integers(-10**4, 10**4), x=st.integers(1, 10**7))
     @settings(max_examples=60, deadline=None)
@@ -455,7 +454,7 @@ class TestSegmentedWalk:
         f = Polynomial.cubic(k)
         rec = weighted_lambda_sum(f, POWER1, x)
         assert (rec.value, rec.tail_value) == reference_weighted_sum(f, POWER1, x)
-        assert prime_power_tail(k, x)[0] == reference_tail(k, x)
+        assert prime_power_tail(k, [x])[0][0] == reference_tail(k, x)
 
     def test_general_cubic_equals_factorized_route(self):
         f = Polynomial((3, 2, 3, 1))
@@ -468,7 +467,7 @@ class TestSegmentedWalk:
         assert not _alive(3, 3, _prescreen(-2, 1000))[0]
         rec = weighted_lambda_sum(Polynomial.cubic(-2), POWER1, 10**9)
         assert rec.tail_value == 3 * math.log(5)
-        assert prime_power_tail(-2, 10**14)[0] == 3 * math.log(5)
+        assert prime_power_tail(-2, [10**14])[0][0] == 3 * math.log(5)
 
     def test_power_filter_passes_every_power(self):
         for i, q in enumerate(_ROOT_EXPONENTS):
@@ -483,9 +482,9 @@ class TestSegmentedWalk:
                     assert all(table[n % m] for m, table in tables), (b, q, n)
 
     def test_tails_need_ascending_checkpoints(self):
-        assert prime_power_tails(2, []) == []
-        assert prime_power_tails(2, [0, 130]) == [(0.0, 0.0), prime_power_tail(2, 130)]
+        assert prime_power_tail(2, []) == []
+        assert prime_power_tail(2, [0, 130]) == [(0.0, 0.0), prime_power_tail(2, [130])[0]]
         with pytest.raises(DomainError):
-            prime_power_tails(2, [10**6, 10**3])
+            prime_power_tail(2, [10**6, 10**3])
         with pytest.raises(CapacityError):
-            prime_power_tails(2, [10, 2**64])
+            prime_power_tail(2, [10, 2**64])

@@ -12,18 +12,18 @@ from cubicprimes import (
     QuadraticForm,
     ResourceError,
     chi,
-    cubic_character_exponent,
     cubic_residue_euler,
     factorize,
     gauss_classify,
     is_prime,
+    primes_up_to,
     primitive_cube_root,
     rho,
     rho_bruteforce,
     rho_prime,
     roots_mod,
 )
-from cubicprimes.residues import represent_by_form
+from cubicprimes.residues import _rho_prime, represent_by_form
 
 CUBIC2 = Polynomial.cubic(2)
 
@@ -84,28 +84,22 @@ class TestPrimitiveCubeRoot:
 
 class TestCharacterExponent:
     def test_one_is_always_a_cube(self):
-        assert cubic_character_exponent(1, 7) == 0
+        assert cubic_residue_euler(1, 7).exponent == 0
 
     def test_two_mod_seven(self):
-        assert cubic_character_exponent(2, 7) == 2
+        assert cubic_residue_euler(2, 7).exponent == 2
 
     def test_two_mod_thirteen(self):
-        assert cubic_character_exponent(2, 13) == 1
-
-    def test_preconditions(self):
-        with pytest.raises(DomainError):
-            cubic_character_exponent(2, 5)
-        with pytest.raises(DomainError):
-            cubic_character_exponent(7, 7)
+        assert cubic_residue_euler(2, 13).exponent == 1
 
     @given(a=st.integers(1, 500), b=st.integers(1, 500),
            p=st.sampled_from((7, 13, 31, 37, 43, 61)))
     @settings(max_examples=200)
     def test_exponent_is_additive(self, a, b, p):
         assume(a % p != 0 and b % p != 0)
-        m = cubic_character_exponent(a, p)
-        n = cubic_character_exponent(b, p)
-        assert cubic_character_exponent(a * b, p) == (m + n) % 3
+        m = cubic_residue_euler(a, p).exponent
+        n = cubic_residue_euler(b, p).exponent
+        assert cubic_residue_euler(a * b, p).exponent == (m + n) % 3
 
 
 class TestQuadraticForm:
@@ -215,6 +209,12 @@ class TestRho:
         assert rho_prime(2, 31) == 3
         assert rho_prime(2, 7) == 0
         assert rho_prime(2, 2) == 1
+
+    @pytest.mark.parametrize("k", [2, -2, 54, -54, 250, -128, 0, 8, 2 * 3 * 5 * 7])
+    def test_root_count_rule_matches_scan(self, k):
+        f = Polynomial.cubic(k)
+        for p in primes_up_to(2000).tolist():
+            assert _rho_prime(k, p) == len(roots_mod(f, p)), p
 
     def test_rho_reference(self):
         assert rho(2, 1) == 1
