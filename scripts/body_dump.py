@@ -41,7 +41,8 @@ COMMANDS = [
     *(["chebyshev", "--k", str(k), "--x", "10000000000000"] for k in BENCH_K),
     *(["chebyshev", "--k", "2", "--x", "1000000000", "--weight", w]
       for w in ("totient", "sigma", "tau")),
-    ["chebyshev", "--coeffs", "3,2,3,1", "--x", "1000000"],
+    ["dseries", "--k", "2", "--x", "1000000", "--checkpoints", "1000,100000,1000000"],
+    ["chebyshev", "--k", "17", "--x", "1000000"],
     *(["tail", "--k", str(-k), "--checkpoints", "1000000000,1000000000000,100000000000000"]
       for k in BENCH_K),
 ]

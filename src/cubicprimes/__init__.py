@@ -5,9 +5,7 @@ and the partial sums that calibrate the constant."""
 from .arith import (
     ArithTables,
     Factorization,
-    Polynomial,
     factorize,
-    fixed_divisor,
     integer_root,
     is_prime,
     primes_up_to,
@@ -79,9 +77,9 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArithTables", "Factorization", "Polynomial", "factorize", "fixed_divisor",
-    "integer_root", "is_prime", "primes_up_to", "sieve_range", "sigma", "tau",
-    "totient", "von_mangoldt", "von_mangoldt_via_mobius",
+    "ArithTables", "Factorization", "factorize", "integer_root", "is_prime",
+    "primes_up_to", "sieve_range", "sigma", "tau", "totient", "von_mangoldt",
+    "von_mangoldt_via_mobius",
     "CountRecord", "ProgressionSum", "Weight", "WeightedSumRecord",
     "count_cubic_primes", "count_table", "enumerate_cubic_primes",
     "lambda_sum_rhs", "max_index", "min_index", "predicted_count",

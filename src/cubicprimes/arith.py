@@ -1,6 +1,6 @@
 """Integer arithmetic underneath everything else: sieves, the Mobius and
-von Mangoldt functions, deterministic 64-bit primality, factorization,
-exact integer roots, and the fixed divisor of an integer polynomial.
+von Mangoldt functions, deterministic 64-bit primality, factorization
+and exact integer roots.
 
 Values handled here are plain Python ints, which never overflow;
 the 64-bit guards below are input budgets, not wraparound protection.
@@ -19,70 +19,6 @@ from .errors import CapacityError, DomainError, ResourceError
 
 U64_MAX = 2**64 - 1
 SIEVE_LIMIT_MAX = 10**9  # memory guard for sieve_range
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Integer polynomial, coefficients stored lowest degree first.
-
-    The CLI accepts highest-first input behind an explicit flag; inside the
-    package the order is always lowest-first, e.g. x^3 + 2 is (2, 0, 0, 1).
-    """
-
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coefficients)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        if not coeffs:
-            coeffs = (0,)
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @classmethod
-    def cubic(cls, k: int) -> "Polynomial":
-        """The family member x^3 + k."""
-        return cls((k, 0, 0, 1))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coefficients == (0,)
-
-    def pure_cubic_shift(self) -> int | None:
-        """Return k when this polynomial is exactly x^3 + k, else None."""
-        c = self.coefficients
-        if len(c) == 4 and c[1] == 0 and c[2] == 0 and c[3] == 1:
-            return c[0]
-        return None
-
-    def __call__(self, n: int) -> int:
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * n + c
-        return acc
-
-    def eval_mod(self, n: int, m: int) -> int:
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = (acc * n + c) % m
-        return acc
-
-    def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coefficients):
-            if c == 0 and self.degree > 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*x" if c != 1 else "x")
-            else:
-                parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
-        return " + ".join(reversed(parts)) if parts else "0"
 
 
 @dataclass(frozen=True)
@@ -319,25 +255,6 @@ def integer_root(n: int, k: int) -> int:
     while (x + 1) ** k <= n:
         x += 1
     return x
-
-
-def fixed_divisor(f: Polynomial) -> int:
-    """gcd of f(n) over all integers n.
-
-    It suffices to take gcd(f(0), ..., f(deg f)): the forward differences
-    of f at 0 determine f via the binomial expansion
-    f(n) = sum_j (Delta^j f)(0) * C(n, j), the j-th difference is an integer
-    combination of f(0..j), and C(n, j) is an integer for every integer n.
-    So any common divisor of f(0..deg f) divides every value, and conversely.
-    """
-    if f.is_zero:
-        raise DomainError("fixed divisor of the zero polynomial is undefined")
-    if f.degree < 1:
-        raise DomainError("fixed divisor requires degree >= 1")
-    g = 0
-    for n in range(f.degree + 1):
-        g = math.gcd(g, f(n))
-    return g
 
 
 def totient(n: int) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from . import __version__
-from .arith import Polynomial, factorize, fixed_divisor
+from .arith import factorize
 from .counting import (
     Weight,
     count_table,
@@ -112,18 +112,6 @@ def _form_triple(text: str) -> tuple[int, int, int]:
     return parts[0], parts[1], parts[2]
 
 
-def _polynomial(args: argparse.Namespace) -> Polynomial:
-    coeffs = getattr(args, "coeffs", None)
-    if coeffs is not None:
-        if getattr(args, "highest_first", False):
-            coeffs = list(reversed(coeffs))
-        return Polynomial(tuple(coeffs))
-    k = getattr(args, "k", None)
-    if k is None:
-        raise DomainError("give --k (shift of n^3) or --coeffs")
-    return Polynomial.cubic(k)
-
-
 def _cmd_count(args: argparse.Namespace) -> OutputTable:
     checkpoints = args.checkpoints or ([args.x] if args.x is not None else None)
     if not checkpoints:
@@ -163,7 +151,7 @@ def _cmd_rho(args: argparse.Namespace) -> OutputTable:
     formula = rho(args.k, args.q) if squarefree else None
     scan = None
     if args.q <= BRUTE_FORCE_BUDGET:
-        scan = rho_bruteforce(Polynomial.cubic(args.k), args.q)
+        scan = rho_bruteforce(args.k, args.q)
     agree = None
     if formula is not None and scan is not None:
         agree = int(formula == scan)
@@ -173,29 +161,24 @@ def _cmd_rho(args: argparse.Namespace) -> OutputTable:
 
 
 def _cmd_dset(args: argparse.Namespace) -> OutputTable:
-    f = _polynomial(args)
     checkpoints = args.checkpoints or _log_checkpoints(args.x)
-    stats = dset_density(f, args.x, checkpoints)
+    stats = dset_density(args.k, args.x, checkpoints)
     rows = [(x, cnt, ratio) for x, cnt, ratio in stats.checkpoints]
     return OutputTable(
         "dset", ("x", "members", "ratio"), rows,
-        extra={"poly": str(f), "decay_exponent": stats.decay_exponent})
+        extra={"k": args.k, "decay_exponent": stats.decay_exponent})
 
 
 def _cmd_dseries(args: argparse.Namespace) -> OutputTable:
-    f = _polynomial(args)
-    extra: dict[str, Any] = {"poly": str(f)}
+    extra: dict[str, Any] = {"k": args.k}
     if args.s == 1.0:
-        trajectory = kappa_trajectory(f, args.x)
-        if args.checkpoints:
-            records = dirichlet_partial_sum(f, args.s, args.x, args.checkpoints)
-        else:
-            records = trajectory.records
+        trajectory = kappa_trajectory(args.k, args.x, args.checkpoints or None)
+        records = trajectory.records
         extra["fitted_kappa"] = trajectory.fitted_kappa
         extra["fit_residual"] = trajectory.fit_residual
     else:
         records = dirichlet_partial_sum(
-            f, args.s, args.x, args.checkpoints or _log_checkpoints(args.x))
+            args.k, args.s, args.x, args.checkpoints or _log_checkpoints(args.x))
     rows = [(r.x, args.s, r.value, r.terms_used) for r in records]
     return OutputTable("dseries", ("x", "s", "value", "terms_used"), rows, extra=extra)
 
@@ -215,13 +198,12 @@ def _cmd_epstein(args: argparse.Namespace) -> OutputTable:
 
 
 def _cmd_chebyshev(args: argparse.Namespace) -> OutputTable:
-    f = _polynomial(args)
     weight = Weight(args.weight, args.exponent)
-    record = weighted_lambda_sum(f, weight, args.x)
+    record = weighted_lambda_sum(args.k, weight, args.x)
     rows = [(record.x, str(record.weight), record.value, record.tail_value, record.bound)]
     return OutputTable(
         "chebyshev", ("x", "weight", "value", "tail", "bound"), rows,
-        extra={"poly": str(f)})
+        extra={"k": args.k})
 
 
 def _cmd_lemma4(args: argparse.Namespace) -> OutputTable:
@@ -242,13 +224,6 @@ def _cmd_tail(args: argparse.Namespace) -> OutputTable:
         raise DomainError("tail needs --x or --checkpoints")
     rows = [(x, tail, bound) for x, (tail, bound) in zip(xs, prime_power_tail(args.k, xs))]
     return OutputTable("tail", ("x", "tail", "bound"), rows, extra={"k": args.k})
-
-
-def _cmd_fixdiv(args: argparse.Namespace) -> OutputTable:
-    f = _polynomial(args)
-    rows = [(";".join(str(c) for c in f.coefficients), f.degree, fixed_divisor(f))]
-    return OutputTable(
-        "fixdiv", ("coefficients_low_first", "degree", "fixed_divisor"), rows)
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
@@ -277,14 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="write output to this path instead of stdout")
         return sp
 
-    def add_poly(sp: argparse.ArgumentParser, k_default: int | None = None) -> None:
-        sp.add_argument("--k", type=int, default=k_default,
-                        help="shift in n^3 + k")
-        sp.add_argument("--coeffs", type=_int_list,
-                        help="polynomial coefficients, lowest degree first")
-        sp.add_argument("--highest-first", action="store_true",
-                        help="read --coeffs highest degree first")
-
     sp = add("count", _cmd_count, "count primes n^3 + k up to x against the prediction")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--x", type=int)
@@ -307,12 +274,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, required=True)
 
     sp = add("dset", _cmd_dset, "solvable-moduli counts and density")
-    add_poly(sp)
+    sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--checkpoints", type=_int_list)
 
     sp = add("dseries", _cmd_dseries, "partial sums of mu(n) log n / n^s over solvable moduli")
-    add_poly(sp)
+    sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--s", type=float, default=1.0)
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--checkpoints", type=_int_list)
@@ -325,8 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu", action="store_true",
                     help="weight each represented value by its Mobius factor")
 
-    sp = add("chebyshev", _cmd_chebyshev, "weighted Mangoldt sum over polynomial values")
-    add_poly(sp)
+    sp = add("chebyshev", _cmd_chebyshev, "weighted Mangoldt sum over the values n^3 + k")
+    sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--weight", choices=("power", "totient", "sigma", "tau"),
                     default="power")
@@ -342,9 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--x", type=int)
     sp.add_argument("--checkpoints", type=_int_list)
-
-    sp = add("fixdiv", _cmd_fixdiv, "fixed divisor of an integer polynomial")
-    add_poly(sp)
 
     sp = add("verify", _cmd_verify, "run a named self-check suite")
     sp.add_argument("--suite", choices=SUITES, required=True)

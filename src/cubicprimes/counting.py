@@ -1,4 +1,4 @@
-"""Counting primes of the form f(n) = n^3 + k and the sums that support
+"""Counting primes of the form n^3 + k and the sums that support
 the count's predicted main term.
 
 The observed side is one walk over the index range of n^3 + k in ascending
@@ -25,7 +25,6 @@ import numpy as np
 
 from .arith import (
     U64_MAX,
-    Polynomial,
     integer_root,
     is_prime,
     primes_up_to,
@@ -37,6 +36,7 @@ from .errors import CapacityError, DomainError, ResourceError
 from .residues import _rho_prime, roots_mod
 
 RHS_BUDGET = 10**5  # lambda_sum_rhs scans roots mod every prime <= x
+SERIES_BUDGET = 10**8  # singular_series loops in Python over every prime <= its cutoff
 PROGRESSION_BUDGET = 10**7  # progression_weighted_sum adds up to x // q terms per class
 _SEGMENT = 1 << 16
 _ROOT_EXPONENTS = tuple(int(p) for p in primes_up_to(64))  # prime e with 2^e < 2^64
@@ -132,11 +132,10 @@ def max_index(k: int, x: int) -> int:
 @lru_cache(maxsize=8)
 def _prescreen(k: int, bound: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
     """(p, roots of n^3 = -k mod p, first n with n^3 + k > p) per sieve prime."""
-    f = Polynomial.cubic(k)
     out = []
     for p in primes_up_to(bound):
         p = int(p)
-        roots = roots_mod(f, p)
+        roots = roots_mod(k, p)
         if not roots:
             continue
         t = integer_root(max(p - k, 0), 3)
@@ -286,10 +285,13 @@ def singular_series(k: int, p_cutoff: int) -> float:
 
     The product converges only conditionally, so the order is part of the
     contract; truncations oscillate slowly as the cutoff grows. A cube k
-    (0 included) makes x^3 + k reducible and raises DomainError.
+    (0 included) makes x^3 + k reducible and raises DomainError; a cutoff
+    above SERIES_BUDGET raises ResourceError before any sieving.
     """
     if p_cutoff < 0:
         raise DomainError("p_cutoff must be >= 0")
+    if p_cutoff > SERIES_BUDGET:
+        raise ResourceError(f"p_cutoff {p_cutoff} exceeds series budget {SERIES_BUDGET}")
     if integer_root(abs(k), 3) ** 3 == abs(k):
         raise DomainError(f"x^3 + {k} is reducible: {k} is a cube")
     out = 1.0
@@ -332,29 +334,21 @@ def count_table(k: int, checkpoints: list[int], p_cutoff: int) -> list[CountReco
     return records
 
 
-def weighted_lambda_sum(f: Polynomial, weight: Weight, x: int) -> WeightedSumRecord:
-    """sum of weight(n) * Lambda(f(n)) over integers n with 1 <= f(n) <= x.
+def weighted_lambda_sum(k: int, weight: Weight, x: int) -> WeightedSumRecord:
+    """sum of weight(n) * Lambda(n^3 + k) over integers n with 1 <= n^3 + k <= x.
 
-    tail_value collects the sub-sum where f(n) is a proper prime power
-    (exponent >= 2); bound is sqrt(x) * log(x)^2. For x^3 + k the terms come
-    from the segmented walk (certified primes and certified prime powers);
-    any other cubic tests each value with is_prime and _prime_power_base.
-    Either way the terms are added in ascending n.
+    tail_value collects the sub-sum where n^3 + k is a proper prime power
+    (exponent >= 2); bound is sqrt(x) * log(x)^2. The terms come from the
+    segmented walk (certified primes and certified prime powers) and are
+    added in ascending n.
     """
-    if f.degree != 3 or f.coefficients[-1] <= 0:
-        raise DomainError("weighted sums need a cubic with positive leading coefficient")
     if x < 1:
         raise DomainError("x must be >= 1")
     if x > U64_MAX:
         raise CapacityError(f"x = {x} exceeds the unsigned 64-bit value budget")
-    k = f.pure_cubic_shift()
-    if k is not None:
-        hits = _walk(k, _first_index_at_least(k, 1), [max_index(k, x)], powers=True)
-    else:
-        hits = _value_hits(f, x)
     total = 0.0
     tail = 0.0
-    for hit in hits:
+    for hit in _walk(k, _first_index_at_least(k, 1), [max_index(k, x)], powers=True):
         if hit is None:
             break
         n, v, p = hit
@@ -369,21 +363,6 @@ def weighted_lambda_sum(f: Polynomial, weight: Weight, x: int) -> WeightedSumRec
         x=x, weight=weight, value=total, tail_value=tail,
         bound=math.sqrt(x) * math.log(x) ** 2,
     )
-
-
-def _value_hits(f: Polynomial, x: int):
-    """(n, v, p) in ascending n for each value v = f(n) in [2, x] that is a
-    prime (p = v) or a proper prime power p^e, testing every n whose value
-    can lie in range."""
-    a = f.coefficients[-1]
-    r = integer_root(x // a, 3) + sum(abs(c) for c in f.coefficients) + 2
-    for n in range(-r, r + 1):
-        v = f(n)
-        if v < 2 or v > x:
-            continue
-        p = v if is_prime(v) else _prime_power_base(v)
-        if p is not None:
-            yield n, v, p
 
 
 def _ap_sum(r: int, d: int, lo: int, hi: int) -> int:
@@ -410,12 +389,11 @@ def lambda_sum_rhs(k: int, x: int) -> float:
         raise DomainError("x must be >= 2")
     if x > RHS_BUDGET:
         raise ResourceError(f"x = {x} exceeds divisor-scan budget {RHS_BUDGET}")
-    f = Polynomial.cubic(k)
     lo = _first_index_at_least(k, 1)
     hi = max_index(k, x)
     if hi < lo:
         return 0.0
-    prime_roots = [(p, roots) for p in primes_up_to(x).tolist() if (roots := roots_mod(f, p))]
+    prime_roots = [(p, roots) for p in primes_up_to(x).tolist() if (roots := roots_mod(k, p))]
     terms = {}  # squarefree d with a root -> (mu(d), sum of n in range with d | n^3 + k)
     stack = [(1, 1, [0], 0)]  # d, mu(d), roots mod d, index of the next prime to try
     while stack:
@@ -450,7 +428,7 @@ def progression_weighted_sum(q: int, a: int, x: int) -> ProgressionSum:
         raise DomainError("q and x must be >= 1")
     if x // q > PROGRESSION_BUDGET:
         raise ResourceError(f"x // q = {x // q} exceeds the term budget {PROGRESSION_BUDGET}")
-    roots = tuple(roots_mod(Polynomial((-a, 0, 0, 1)), q))
+    roots = tuple(roots_mod(-a, q))
     exact = 0
     closed = 0
     for b in roots:

@@ -1,12 +1,12 @@
-"""The set of moduli d for which f(x) = 0 mod d is solvable.
+"""The set of moduli d for which x^3 + k = 0 mod d is solvable.
 
-Membership is decided by true solvability: factor d, get the roots of f
-modulo each prime, lift them power by power, and combine by the Chinese
-remainder principle (solvable mod d iff solvable mod every prime-power
-part). Lifting from p^j to p^(j+1) uses the exact expansion
-f(r + t*p^j) = f(r) + f'(r)*t*p^j (mod p^(j+1)) valid for j >= 1, which
-keeps this route structurally independent of the linear-scan oracle
-rho_bruteforce that the tests compare it against.
+Membership is decided by true solvability: factor d, get the roots of
+x^3 + k modulo each prime, lift them power by power, and combine by the
+Chinese remainder principle (solvable mod d iff solvable mod every
+prime-power part). Lifting from p^j to p^(j+1) uses the exact expansion
+f(r + t*p^j) = f(r) + 3r^2*t*p^j (mod p^(j+1)) of f(x) = x^3 + k, valid for
+j >= 1, which keeps this route structurally independent of the linear-scan
+oracle rho_bruteforce that the tests compare it against.
 """
 
 from __future__ import annotations
@@ -16,28 +16,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import Polynomial, factorize, primes_up_to, sieve_range
+from .arith import factorize, primes_up_to, sieve_range
 from .errors import DomainError, ResourceError
 from .residues import _rho_prime, roots_mod
 
 ENUMERATION_LIMIT = 10**7
-GENERAL_POLY_LIMIT = 10**5  # per-prime root scans get quadratic beyond this
 _ROOT_SET_CAP = 10**6
 
 
-def _derivative(f: Polynomial) -> Polynomial:
-    coeffs = tuple(i * c for i, c in enumerate(f.coefficients))[1:]
-    return Polynomial(coeffs if coeffs else (0,))
-
-
-def _lift_once(f: Polynomial, fprime: Polynomial, roots: list[int], p: int, j: int) -> list[int]:
-    """Roots of f mod p^(j+1) from the roots mod p^j, j >= 1."""
+def _lift_once(k: int, roots: list[int], p: int, j: int) -> list[int]:
+    """Roots of x^3 + k mod p^(j+1) from the roots mod p^j, j >= 1."""
     pj = p**j
     mod_next = pj * p
     out = []
     for r in roots:
-        a = (f(r) // pj) % p
-        b = fprime(r) % p
+        a = (r**3 + k) // pj % p
+        b = 3 * r * r % p
         if b != 0:
             t = (-a * pow(b, -1, p)) % p
             out.append(r + t * pj)
@@ -48,73 +42,58 @@ def _lift_once(f: Polynomial, fprime: Polynomial, roots: list[int], p: int, j: i
     return out
 
 
-def _roots_mod_prime_power(f: Polynomial, p: int, e: int) -> list[int]:
-    roots = roots_mod(f, p)
-    fprime = _derivative(f)
+def _roots_mod_prime_power(k: int, p: int, e: int) -> list[int]:
+    roots = roots_mod(k, p)
     for j in range(1, e):
         if not roots:
             return []
-        roots = _lift_once(f, fprime, roots, p, j)
+        roots = _lift_once(k, roots, p, j)
     return sorted(roots)
 
 
-def in_dset(f: Polynomial, d: int) -> bool:
-    """True iff f(x) = 0 mod d has a solution."""
+def in_dset(k: int, d: int) -> bool:
+    """True iff x^3 + k = 0 mod d has a solution."""
     if d < 1:
         raise DomainError(f"modulus {d} must be >= 1")
     if d == 1:
         return True
     for p, e in factorize(d).factors:
-        if not _roots_mod_prime_power(f, p, e):
+        if not _roots_mod_prime_power(k, p, e):
             return False
     return True
 
 
-def _solvable_mod_prime(f: Polynomial, p: int) -> bool:
-    k = f.pure_cubic_shift()
-    if k is not None:
-        return _rho_prime(k, p) > 0
-    return bool(roots_mod(f, p))
-
-
-def enumerate_dset(f: Polynomial, limit: int) -> list[int]:
-    """Sorted list of every solvable modulus d <= limit.
+def enumerate_dset(k: int, limit: int) -> list[int]:
+    """Sorted list of every modulus d <= limit with x^3 + k solvable mod d.
 
     Sieve-style: for each prime, find the largest exponent E with
-    f solvable mod p^E inside the limit, then strike all multiples of
+    x^3 + k solvable mod p^E inside the limit, then strike all multiples of
     p^(E+1). A modulus survives iff each of its prime-power parts is
-    solvable. The pure cubic family x^3 + k gets an Euler-criterion fast
-    path for large primes; other polynomials fall back to per-prime root
-    scans and are held to a smaller limit.
+    solvable. Primes above sqrt(limit) need only the root count rule.
     """
     if limit < 1:
         raise DomainError(f"limit {limit} must be >= 1")
     if limit > ENUMERATION_LIMIT:
         raise ResourceError(f"limit {limit} exceeds enumeration budget {ENUMERATION_LIMIT}")
-    if f.pure_cubic_shift() is None and limit > GENERAL_POLY_LIMIT:
-        raise ResourceError(
-            f"limit {limit} exceeds budget {GENERAL_POLY_LIMIT} for general polynomials"
-        )
     ok = np.ones(limit + 1, dtype=bool)
     ok[0] = False
     if limit == 1:
         return [1]
-    fprime = _derivative(f)
     boundary = math.isqrt(limit)
     for p in map(int, primes_up_to(limit)):
         if p <= boundary:
-            roots = roots_mod(f, p)
+            roots = roots_mod(k, p)
             if not roots:
                 ok[p::p] = False
                 continue
             q, j = p * p, 1
             while q <= limit:
-                roots = _lift_once(f, fprime, roots, p, j)
+                roots = _lift_once(k, roots, p, j)
                 if not roots:
                     ok[q::q] = False
                     break
                 q, j = q * p, j + 1
-        elif not _solvable_mod_prime(f, p):
+        elif _rho_prime(k, p) == 0:
             ok[p::p] = False
     return np.flatnonzero(ok).tolist()
 
@@ -135,13 +114,13 @@ class DsetStats:
     decay_exponent: float | None
 
 
-def dset_density(f: Polynomial, limit: int, checkpoints: list[int]) -> DsetStats:
+def dset_density(k: int, limit: int, checkpoints: list[int]) -> DsetStats:
     """Membership counts and density ratios at the given checkpoints."""
     if not checkpoints or any(c < 1 or c > limit for c in checkpoints):
         raise DomainError("checkpoints must be nonempty and within [1, limit]")
     if sorted(checkpoints) != list(checkpoints):
         raise DomainError("checkpoints must be ascending")
-    members = np.asarray(enumerate_dset(f, limit), dtype=np.int64)
+    members = np.asarray(enumerate_dset(k, limit), dtype=np.int64)
     rows = []
     for x in checkpoints:
         cnt = int(np.searchsorted(members, x, side="right"))
@@ -161,8 +140,8 @@ def dset_density(f: Polynomial, limit: int, checkpoints: list[int]) -> DsetStats
     )
 
 
-def members_and_mobius(f: Polynomial, limit: int):
+def members_and_mobius(k: int, limit: int):
     """Solvable moduli <= limit alongside their Mobius values; shared by the
     series partial sums."""
-    members = np.asarray(enumerate_dset(f, limit), dtype=np.int64)
+    members = np.asarray(enumerate_dset(k, limit), dtype=np.int64)
     return members, sieve_range(max(limit, 2)).mu[members]

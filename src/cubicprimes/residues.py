@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .arith import Polynomial, factorize, is_prime
+from .arith import factorize, is_prime
 from .errors import ConsistencyError, DomainError, ResourceError
 
 BRUTE_FORCE_BUDGET = 10**7  # largest modulus a linear root scan will accept
@@ -251,25 +251,25 @@ def rho(k: int, q: int) -> int:
     return out
 
 
-def roots_mod(f: Polynomial, m: int) -> list[int]:
-    """All roots of f mod m by linear scan of [0, m). Moduli above the scan
-    budget raise ResourceError."""
+def roots_mod(k: int, m: int) -> list[int]:
+    """All roots of x^3 + k mod m by linear scan of [0, m). Moduli above the
+    scan budget raise ResourceError.
+
+    The scan reduces mod m after every multiply: m^3 overflows int64 once
+    m > 2.1e6, well inside the budget.
+    """
     if m < 1:
         raise DomainError(f"modulus {m} must be >= 1")
     if m > BRUTE_FORCE_BUDGET:
         raise ResourceError(f"modulus {m} exceeds scan budget {BRUTE_FORCE_BUDGET}")
-    if m == 1:
-        return [0]
     if m <= 64:
-        return [x for x in range(m) if f.eval_mod(x, m) == 0]
+        return [x for x in range(m) if (x**3 + k) % m == 0]
     xs = np.arange(m, dtype=np.int64)
-    acc = np.full(m, f.coefficients[-1] % m, dtype=np.int64)
-    for c in reversed(f.coefficients[:-1]):
-        acc = (acc * xs + (c % m)) % m
-    return np.flatnonzero(acc == 0).tolist()
+    acc = xs * xs % m * xs % m
+    return np.flatnonzero(acc == -k % m).tolist()
 
 
-def rho_bruteforce(f: Polynomial, q: int) -> int:
-    """Root count of f mod q by exhaustive scan; the independent oracle for
-    rho and for solvable-modulus membership."""
-    return len(roots_mod(f, q))
+def rho_bruteforce(k: int, q: int) -> int:
+    """Root count of x^3 + k mod q by exhaustive scan; the independent
+    oracle for rho and for solvable-modulus membership."""
+    return len(roots_mod(k, q))

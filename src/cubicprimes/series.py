@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import Polynomial, sieve_range
+from .arith import sieve_range
 from .dset import members_and_mobius
 from .errors import DomainError, ResourceError
 from .residues import QuadraticForm
@@ -35,10 +35,11 @@ class PartialSumRecord:
 class KappaTrajectory:
     """Checkpointed s=1 partial sums with a crude limit estimate.
 
-    fitted_kappa is minus the mean over the last quartile of checkpoint
-    values (the partial sums approach a negative constant from either
-    side); fit_residual is the largest deviation from that mean inside the
-    quartile window. Reported quantities only, never asserted against.
+    fitted_kappa is minus the mean over the last quartile of the decade
+    checkpoint values (the partial sums approach a negative constant from
+    either side); fit_residual is the largest deviation from that mean
+    inside the quartile window. Reported quantities only, never asserted
+    against.
     """
 
     records: list[PartialSumRecord]
@@ -46,13 +47,21 @@ class KappaTrajectory:
     fit_residual: float
 
 
+def _check_checkpoints(checkpoints: list[int], x: int) -> None:
+    if not checkpoints or sorted(checkpoints) != list(checkpoints):
+        raise DomainError("checkpoints must be nonempty and ascending")
+    if checkpoints[-1] > x or checkpoints[0] < 1:
+        raise DomainError("checkpoints must lie in [1, x]")
+
+
 def dirichlet_partial_sum(
-    f: Polynomial,
+    k: int,
     s: float,
     x: int,
     checkpoints: list[int] | None = None,
 ) -> list[PartialSumRecord]:
-    """Partial sums of mu(n) log(n) / n^s over solvable moduli n <= x.
+    """Partial sums of mu(n) log(n) / n^s over the moduli n <= x at which
+    x^3 + k is solvable.
 
     Records are emitted at each checkpoint (default: only at x). The sum
     is a single ascending left-to-right accumulation, so a checkpoint
@@ -66,11 +75,8 @@ def dirichlet_partial_sum(
         raise DomainError("x must be >= 1")
     if checkpoints is None:
         checkpoints = [x]
-    if not checkpoints or sorted(checkpoints) != list(checkpoints):
-        raise DomainError("checkpoints must be nonempty and ascending")
-    if checkpoints[-1] > x or checkpoints[0] < 1:
-        raise DomainError("checkpoints must lie in [1, x]")
-    members, mu = members_and_mobius(f, x)
+    _check_checkpoints(checkpoints, x)
+    members, mu = members_and_mobius(k, x)
     keep = mu != 0
     members = members[keep]
     mu = mu[keep].astype(np.float64)
@@ -95,17 +101,23 @@ def _log_checkpoints(x_max: int) -> list[int]:
     return cps
 
 
-def kappa_trajectory(f: Polynomial, x_max: int) -> KappaTrajectory:
-    """s = 1 partial sums at decade checkpoints up to x_max, with the
-    last-quartile limit estimate."""
+def kappa_trajectory(k: int, x_max: int, checkpoints: list[int] | None = None) -> KappaTrajectory:
+    """s = 1 partial sums at the ascending checkpoints (default: decade
+    checkpoints up to x_max), with the last-quartile limit estimate over the
+    decade checkpoints. Both sets are read from one cumulative sum."""
     if x_max < 1:
         raise DomainError("x_max must be >= 1")
-    records = dirichlet_partial_sum(f, 1.0, x_max, _log_checkpoints(x_max))
-    q = max(1, math.ceil(len(records) / 4))
-    window = [r.value for r in records[-q:]]
+    decades = _log_checkpoints(x_max)
+    if checkpoints is None:
+        checkpoints = decades
+    _check_checkpoints(checkpoints, x_max)
+    at = {r.x: r for r in dirichlet_partial_sum(k, 1.0, x_max, sorted({*decades, *checkpoints}))}
+    q = max(1, math.ceil(len(decades) / 4))
+    window = [at[x].value for x in decades[-q:]]
     mean = sum(window) / len(window)
     residual = max(abs(v - mean) for v in window)
-    return KappaTrajectory(records=records, fitted_kappa=-mean, fit_residual=residual)
+    return KappaTrajectory(records=[at[x] for x in checkpoints], fitted_kappa=-mean,
+                           fit_residual=residual)
 
 
 def epstein_r(form: QuadraticForm, n: int) -> int:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import (
-    Polynomial,
     factorize,
     primes_up_to,
     sieve_range,
@@ -23,10 +22,17 @@ from .arith import (
     von_mangoldt_via_mobius,
 )
 from .counting import Weight, lambda_sum_rhs, progression_weighted_sum, weighted_lambda_sum
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, ResourceError
 from .residues import Branch, gauss_classify, rho, rho_bruteforce, roots_mod
 
 SUITES = ("lemma2", "lemma3", "lemma4", "rho", "eq3", "all")
+
+# work budgets on the --nmax/--pmax overrides, each set from a measured run
+# of at most about 15 s on 2 cores (time and peak RSS in the README)
+MANGOLDT_BUDGET = 2 * 10**5  # one factorize per n, linear
+DIVISOR_SUM_BUDGET = 10**7  # float64 arrays of n_max entries
+GAUSS_BUDGET = 2 * 10**6  # two form searches per prime = 1 mod 3
+RHO_SCAN_BUDGET = 4 * 10**4  # one linear scan per squarefree q, quadratic
 
 # full-scale bounds match the documented acceptance levels; tiny keeps the
 # whole run under a minute for interactive use
@@ -45,12 +51,18 @@ class CheckResult:
     detail: str
 
 
+def _check_budget(what: str, value: int, budget: int) -> None:
+    if value > budget:
+        raise ResourceError(f"{what} = {value} exceeds budget {budget}")
+
+
 def _close(a: float, b: float, rel: float) -> bool:
     return math.isclose(a, b, rel_tol=rel, abs_tol=1e-12)
 
 
 def mangoldt_identity(n_max: int) -> CheckResult:
     """von_mangoldt equals the explicit divisor-route evaluation on 1..n_max."""
+    _check_budget("n_max", n_max, MANGOLDT_BUDGET)
     for n in range(1, n_max + 1):
         direct = von_mangoldt(n)
         via = von_mangoldt_via_mobius(n)
@@ -64,6 +76,7 @@ def mangoldt_identity(n_max: int) -> CheckResult:
 
 def mangoldt_divisor_sum(n_max: int) -> CheckResult:
     """sum of Lambda over divisors reproduces log n on 2..n_max (sieved)."""
+    _check_budget("n_max", n_max, DIVISOR_SUM_BUDGET)
     acc = np.zeros(n_max + 1)
     for p in primes_up_to(n_max):
         p = int(p)
@@ -86,6 +99,7 @@ def gauss_euler_split(p_max: int) -> CheckResult:
     """Every prime p = 1 mod 3 up to p_max is represented by exactly one of
     the two forms, agreeing with the Euler criterion on 2; witnesses are
     re-evaluated."""
+    _check_budget("p_max", p_max, GAUSS_BUDGET)
     counts = {Branch.RESIDUE_FORM: 0, Branch.NONRESIDUE_FORM: 0}
     for p in primes_up_to(p_max):
         p = int(p)
@@ -114,14 +128,14 @@ def gauss_euler_split(p_max: int) -> CheckResult:
 def rho_against_scan(q_max: int, k: int = 2) -> CheckResult:
     """Multiplicative rho equals the linear-scan count on every squarefree
     q <= q_max."""
+    _check_budget("q_max", q_max, RHO_SCAN_BUDGET)
     tables = sieve_range(max(q_max, 2))
-    f = Polynomial.cubic(k)
     checked = 0
     for q in range(1, q_max + 1):
         if q > 1 and tables.mu[q] == 0:
             continue
         formula = rho(k, q)
-        scan = rho_bruteforce(f, q)
+        scan = rho_bruteforce(k, q)
         if formula != scan:
             return CheckResult("rho-vs-scan", False,
                                f"q={q}: multiplicative {formula} vs scan {scan}")
@@ -135,7 +149,7 @@ def lambda_identity(xs, k: int = 2) -> list[CheckResult]:
     out = []
     weight = Weight("power", 1)
     for x in xs:
-        lhs = weighted_lambda_sum(Polynomial.cubic(k), weight, x).value
+        lhs = weighted_lambda_sum(k, weight, x).value
         rhs = lambda_sum_rhs(k, x)
         ok = _close(lhs, rhs, 1e-6)
         out.append(CheckResult(
@@ -151,14 +165,13 @@ def progression_checks(trials: int, seed: int, q_max: int, x_max: int,
     x >= 100q. Also re-derives the dropped first term of the uncorrected
     form on the q=5, x=20 instance."""
     rng = random.Random(seed)
-    poly = Polynomial((-a, 0, 0, 1))
     results = []
     exact_ok, band_ok, band_checked = True, True, 0
     exact_detail = band_detail = ""
     done = 0
     while done < trials:
         q = rng.randint(1, q_max)
-        if not factorize(q).is_squarefree or not roots_mod(poly, q):
+        if not factorize(q).is_squarefree or not roots_mod(-a, q):
             continue
         x = rng.randint(1, x_max)
         ps = progression_weighted_sum(q, a, x)

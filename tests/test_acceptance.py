@@ -11,7 +11,6 @@ import time
 import pytest
 
 from cubicprimes import (
-    Polynomial,
     QuadraticForm,
     cli,
     count_table,
@@ -32,8 +31,6 @@ from cubicprimes.verify import (
     progression_checks,
     rho_against_scan,
 )
-
-CUBIC2 = Polynomial.cubic(2)
 
 
 @pytest.fixture
@@ -136,16 +133,16 @@ def test_a08_epstein_two_methods(report):
 
 
 def test_a09_dset_membership_and_density(report):
-    members = set(enumerate_dset(CUBIC2, 10**4))
+    members = set(enumerate_dset(2, 10**4))
     mismatches = sum(
-        (d in members) != (rho_bruteforce(CUBIC2, d) >= 1)
+        (d in members) != (rho_bruteforce(2, d) >= 1)
         for d in range(1, 10**4 + 1)
     )
     explicit = (
-        all(in_dset(CUBIC2, d) for d in (1, 2, 3, 5, 6, 10))
-        and not any(in_dset(CUBIC2, d) for d in (4, 7, 9))
+        all(in_dset(2, d) for d in (1, 2, 3, 5, 6, 10))
+        and not any(in_dset(2, d) for d in (4, 7, 9))
     )
-    stats = dset_density(CUBIC2, 10**6, [10**3, 10**4, 10**5, 10**6])
+    stats = dset_density(2, 10**6, [10**3, 10**4, 10**5, 10**6])
     ratios = [ratio for _, _, ratio in stats.checkpoints]
     monotone = all(a >= b for a, b in zip(ratios, ratios[1:]))
     report(mismatches == 0 and explicit and monotone,

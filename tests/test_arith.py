@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from cubicprimes import (
     CapacityError,
     DomainError,
-    Polynomial,
     factorize,
-    fixed_divisor,
     integer_root,
     is_prime,
     primes_up_to,
@@ -20,41 +18,6 @@ from cubicprimes import (
     von_mangoldt,
     von_mangoldt_via_mobius,
 )
-
-
-class TestPolynomial:
-    def test_cubic_constructor(self):
-        f = Polynomial.cubic(2)
-        assert f.coefficients == (2, 0, 0, 1)
-        assert f.degree == 3
-        assert f.pure_cubic_shift() == 2
-
-    def test_trailing_zeros_stripped(self):
-        assert Polynomial((1, 2, 0, 0)).coefficients == (1, 2)
-        assert Polynomial((0, 0)).coefficients == (0,)
-        assert Polynomial(()).is_zero
-
-    def test_str(self):
-        assert str(Polynomial.cubic(2)) == "x^3 + 2"
-        assert str(Polynomial((3, 2, 3, 1))) == "x^3 + 3*x^2 + 2*x + 3"
-        assert str(Polynomial((0,))) == "0"
-
-    def test_not_pure_cubic(self):
-        assert Polynomial((2, 1, 0, 1)).pure_cubic_shift() is None
-        assert Polynomial((2, 0, 0, 2)).pure_cubic_shift() is None
-
-    @given(st.integers(-50, 50), st.integers(-10**6, 10**6))
-    def test_call_matches_direct_evaluation(self, k, n):
-        assert Polynomial.cubic(k)(n) == n**3 + k
-
-    @given(
-        st.lists(st.integers(-99, 99), min_size=1, max_size=5),
-        st.integers(-10**4, 10**4),
-        st.integers(2, 10**6),
-    )
-    def test_eval_mod_consistent(self, coeffs, n, m):
-        f = Polynomial(tuple(coeffs))
-        assert f.eval_mod(n, m) == f(n) % m
 
 
 class TestSieve:
@@ -197,25 +160,6 @@ class TestIntegerRoots:
     def test_general_root_floor_property(self, n, k):
         r = integer_root(n, k)
         assert r**k <= n < (r + 1) ** k
-
-
-class TestFixedDivisor:
-    def test_reference_values(self):
-        assert fixed_divisor(Polynomial((2, 1, 1))) == 2
-        assert fixed_divisor(Polynomial.cubic(2)) == 1
-        assert fixed_divisor(Polynomial((3, 2, 3, 1))) == 3
-        assert fixed_divisor(Polynomial((0, 1, 0, 1))) == 2
-
-    @given(st.lists(st.integers(-20, 20), min_size=2, max_size=5), st.integers(-200, 200))
-    @settings(max_examples=200)
-    def test_divides_every_value(self, coeffs, n):
-        f = Polynomial(tuple(coeffs))
-        assume(f.degree >= 1)
-        assert f(n) % fixed_divisor(f) == 0
-
-    def test_constant_rejected(self):
-        with pytest.raises(DomainError):
-            fixed_divisor(Polynomial((5,)))
 
 
 class TestArithmeticWeights:

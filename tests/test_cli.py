@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
-from cubicprimes import ConsistencyError, __version__, cli
+from cubicprimes import ConsistencyError, ResourceError, __version__, cli, dset, verify
+from cubicprimes.counting import SERIES_BUDGET
+from cubicprimes.series import dirichlet_partial_sum, kappa_trajectory
 from cubicprimes.verify import CheckResult
 
 COMMANDS = {
@@ -18,7 +20,6 @@ COMMANDS = {
     "chebyshev": ["chebyshev", "--k", "2", "--x", "130"],
     "lemma4": ["lemma4", "--q", "5", "--a", "-2", "--x", "20"],
     "tail": ["tail", "--k", "2", "--x", "130"],
-    "fixdiv": ["fixdiv", "--coeffs", "2,1,1"],
     "verify": ["verify", "--suite", "rho", "--scale", "tiny"],
 }
 
@@ -90,6 +91,51 @@ class TestExitCodes:
         assert cli.run(["lemma4", "--q", str(q), "--a", "1", "--x", str(x)]) == 3
         captured = capsys.readouterr()
         assert "budget" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--k", "2", "--x", "1000", "--pmax", str(SERIES_BUDGET + 1)],
+        ["constant", "--k", "2", "--pmax", str(SERIES_BUDGET + 1)],
+        ["constant", "--k", "2", "--checkpoints", f"100,{SERIES_BUDGET + 1}"],
+    ])
+    def test_series_budget_refuses_before_sieving(self, capsys, monkeypatch, argv):
+        from cubicprimes import counting
+        limits = []
+        original = counting.primes_up_to
+
+        def recorded(limit):
+            limits.append(limit)
+            return original(limit)
+
+        monkeypatch.setattr(counting, "primes_up_to", recorded)
+        assert cli.run(argv) == 3
+        captured = capsys.readouterr()
+        assert "budget" in captured.err and captured.out == ""
+        assert max(limits, default=0) <= SERIES_BUDGET
+
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "lemma2", "--nmax", str(verify.MANGOLDT_BUDGET + 1)],
+        ["--suite", "lemma3", "--pmax", str(verify.GAUSS_BUDGET + 1)],
+        ["--suite", "rho", "--nmax", str(verify.RHO_SCAN_BUDGET + 1)],
+    ])
+    def test_verify_budgets(self, capsys, argv):
+        assert cli.run(["verify", *argv]) == 3
+        captured = capsys.readouterr()
+        assert "budget" in captured.err and captured.out == ""
+
+    def test_divisor_sum_budget(self):
+        # lemma2's --nmax reaches the identity check's smaller budget first
+        with pytest.raises(ResourceError):
+            verify.mangoldt_divisor_sum(verify.DIVISOR_SUM_BUDGET + 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["fixdiv", "--coeffs", "2,1,1"],
+        ["chebyshev", "--coeffs", "3,2,3,1", "--x", "100"],
+        ["dset", "--coeffs", "3,2,3,1", "--x", "100"],
+        ["dseries", "--k", "2", "--highest-first", "--x", "100"],
+        ["chebyshev", "--x", "100"],
+    ])
+    def test_only_the_shift_k_is_accepted(self, capsys, argv):
+        assert cli.run(argv) == 2
 
     def test_consistency_error(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
@@ -178,12 +224,6 @@ class TestFlags:
         cli.run(["count", "--k", "2", "--x", "130"])
         assert body_lines(on_disk) == body_lines(capsys.readouterr().out)
 
-    def test_highest_first_coefficients(self, capsys):
-        _, low = run_json(capsys, ["fixdiv", "--coeffs", "3,2,3,1"])
-        _, high = run_json(
-            capsys, ["fixdiv", "--coeffs", "1,3,2,3", "--highest-first"])
-        assert low["rows"] == high["rows"] == [["3;2;3;1", 3, 3]]
-
     def test_chebyshev_weight_selection(self, capsys):
         _, payload = run_json(
             capsys, ["chebyshev", "--k", "2", "--x", "130", "--weight", "tau"])
@@ -203,6 +243,31 @@ class TestFlags:
         assert len(walks) == 1
         assert payload["rows"] == [[x, *counting.prime_power_tail(-2, [x])[0]]
                                    for x in (1000, 1000000, 1000000000)]
+
+    def test_dseries_checkpoints_are_one_enumeration(self, capsys, monkeypatch):
+        calls = []
+        original = dset.enumerate_dset
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dset, "enumerate_dset", counted)
+        xs = [1000, 50000, 100000]
+        _, payload = run_json(
+            capsys, ["dseries", "--k", "2", "--x", "100000", "--checkpoints", "1000,50000,100000"])
+        assert len(calls) == 1
+        assert payload["rows"] == [[r.x, 1.0, r.value, r.terms_used]
+                                   for r in dirichlet_partial_sum(2, 1.0, 100000, xs)]
+        fit = kappa_trajectory(2, 100000)
+        assert payload["metadata"]["fitted_kappa"] == fit.fitted_kappa
+        assert payload["metadata"]["fit_residual"] == fit.fit_residual
+
+    @pytest.mark.parametrize("checkpoints", ["50000,1000", "1000,200000", "0,1000"])
+    def test_dseries_bad_checkpoints(self, capsys, checkpoints):
+        argv = ["dseries", "--k", "2", "--x", "100000", "--checkpoints", checkpoints]
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().out == ""
 
     def test_tail_checkpoints_must_ascend(self, capsys):
         assert cli.run(["tail", "--k", "-2", "--checkpoints", "1000000,1000"]) == 2

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cubicprimes import (
     CapacityError,
     DomainError,
-    Polynomial,
     ResourceError,
     Weight,
     count_cubic_primes,
@@ -39,47 +38,17 @@ from cubicprimes.counting import (
     _prescreen,
 )
 
-CUBIC2 = Polynomial.cubic(2)
 POWER1 = Weight("power", 1)
 
 
-def lambda_by_trial_division(v: int) -> float:
-    """Independent Mangoldt evaluation for cross-checks: factor v by pure
-    trial division and keep log p only for one-prime factorizations."""
-    if v < 2:
-        return 0.0
-    m = v
-    base = None
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            if base is not None and base != d:
-                return 0.0
-            base = d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        if base is not None and base != m:
-            return 0.0
-        base = m
-    return math.log(base)
-
-
 @lru_cache(maxsize=None)
-def factorized_hits(f: Polynomial, x: int) -> tuple[tuple[int, int, int], ...]:
-    """(n, v, p) for every value v = f(n) in [2, x] that is a prime power p^e,
-    read off the full factorization of v: the value route of the Lambda sums
-    before the segmented walk, kept here as their reference."""
-    k = f.pure_cubic_shift()
-    if k is not None:
-        ns = range(min_index(k), max_index(k, x) + 1)
-    else:
-        r = math.isqrt(x) + sum(abs(c) for c in f.coefficients) + 2
-        ns = range(-r, r + 1)
+def factorized_hits(k: int, x: int) -> tuple[tuple[int, int, int], ...]:
+    """(n, v, p) for every value v = n^3 + k in [2, x] that is a prime power
+    p^e, read off the full factorization of v: the value route of the Lambda
+    sums before the segmented walk, kept here as their reference."""
     out = []
-    for n in ns:
-        v = f(n)
+    for n in range(min_index(k), max_index(k, x) + 1):
+        v = n**3 + k
         if 2 <= v <= x:
             factors = factorize(v).factors
             if len(factors) == 1:
@@ -87,10 +56,10 @@ def factorized_hits(f: Polynomial, x: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-def reference_weighted_sum(f: Polynomial, weight: Weight, x: int) -> tuple[float, float]:
+def reference_weighted_sum(k: int, weight: Weight, x: int) -> tuple[float, float]:
     """(value, tail_value) summed over factorized_hits in ascending n."""
     total = tail = 0.0
-    for n, v, p in factorized_hits(f, x):
+    for n, v, p in factorized_hits(k, x):
         w = weight(n)
         if w == 0:
             continue
@@ -103,7 +72,7 @@ def reference_weighted_sum(f: Polynomial, weight: Weight, x: int) -> tuple[float
 
 def reference_tail(k: int, x: int) -> float:
     tail = 0.0
-    for n, v, p in factorized_hits(Polynomial.cubic(k), x):
+    for n, v, p in factorized_hits(k, x):
         if n >= 1 and p != v:
             tail += n * math.log(p)
     return tail
@@ -253,58 +222,47 @@ class TestCountTable:
 
 class TestWeightedLambdaSum:
     def test_power_one_reference(self):
-        rec = weighted_lambda_sum(CUBIC2, POWER1, 130)
+        rec = weighted_lambda_sum(2, POWER1, 130)
         expected = math.log(3) + 3 * math.log(29) + 5 * math.log(127)
         assert rec.value == pytest.approx(expected, rel=1e-14)
         assert rec.tail_value == 0.0
 
     def test_weight_annihilates_single_term(self):
-        assert weighted_lambda_sum(CUBIC2, POWER1, 2).value == 0.0
+        assert weighted_lambda_sum(2, POWER1, 2).value == 0.0
 
     def test_tau_reference(self):
-        rec = weighted_lambda_sum(CUBIC2, Weight("tau"), 130)
+        rec = weighted_lambda_sum(2, Weight("tau"), 130)
         expected = math.log(3) + 2 * math.log(29) + 2 * math.log(127)
         assert rec.value == pytest.approx(expected, rel=1e-14)
 
     def test_totient_reference(self):
-        rec = weighted_lambda_sum(CUBIC2, Weight("totient"), 130)
+        rec = weighted_lambda_sum(2, Weight("totient"), 130)
         expected = math.log(3) + 2 * math.log(29) + 4 * math.log(127)
         assert rec.value == pytest.approx(expected, rel=1e-14)
 
     def test_sigma_reference(self):
-        rec = weighted_lambda_sum(CUBIC2, Weight("sigma"), 130)
+        rec = weighted_lambda_sum(2, Weight("sigma"), 130)
         expected = math.log(3) + 4 * math.log(29) + 6 * math.log(127)
         assert rec.value == pytest.approx(expected, rel=1e-14)
 
     def test_negative_indices_contribute_signed_terms(self):
-        rec = weighted_lambda_sum(Polynomial.cubic(10), POWER1, 30)
+        rec = weighted_lambda_sum(10, POWER1, 30)
         expected = math.log(11) - 2 * math.log(2) - math.log(3)
         assert rec.value == pytest.approx(expected, rel=1e-13)
 
     def test_arithmetic_weights_skip_nonpositive_indices(self):
-        rec = weighted_lambda_sum(Polynomial.cubic(10), Weight("tau"), 30)
+        rec = weighted_lambda_sum(10, Weight("tau"), 30)
         assert rec.value == pytest.approx(math.log(11), rel=1e-14)
 
     def test_count_weight_includes_index_zero(self):
-        rec = weighted_lambda_sum(CUBIC2, Weight("power", 0), 130)
+        rec = weighted_lambda_sum(2, Weight("power", 0), 130)
         expected = math.log(2) + math.log(3) + math.log(29) + math.log(127)
         assert rec.value == pytest.approx(expected, rel=1e-13)
-
-    def test_general_cubic_against_trial_division(self):
-        f = Polynomial((3, 2, 3, 1))
-        x = 5000
-        rec = weighted_lambda_sum(f, POWER1, x)
-        brute = sum(
-            n * lambda_by_trial_division(f(n))
-            for n in range(-60, 60)
-            if 1 <= f(n) <= x
-        )
-        assert rec.value == pytest.approx(brute, rel=1e-12)
 
     def test_tail_is_collected(self):
         # prime-power values of n^3 + 17 up to 600: 16 = 2^4 at n = -1,
         # 9 = 3^2 at n = -2, 25 at n = 2, 81 at n = 4, 529 at n = 8
-        rec = weighted_lambda_sum(Polynomial.cubic(17), POWER1, 600)
+        rec = weighted_lambda_sum(17, POWER1, 600)
         expected_tail = (-math.log(2) - 2 * math.log(3) + 2 * math.log(5)
                          + 4 * math.log(3) + 8 * math.log(23))
         assert rec.tail_value == pytest.approx(expected_tail, rel=1e-13)
@@ -314,9 +272,7 @@ class TestWeightedLambdaSum:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            weighted_lambda_sum(Polynomial((1, 1)), POWER1, 100)
-        with pytest.raises(DomainError):
-            weighted_lambda_sum(CUBIC2, POWER1, 0)
+            weighted_lambda_sum(2, POWER1, 0)
         with pytest.raises(DomainError):
             Weight("power", -1)
         with pytest.raises(DomainError):
@@ -325,11 +281,11 @@ class TestWeightedLambdaSum:
 
 class TestLambdaSumRhs:
     def test_matches_lhs_at_130(self):
-        lhs = weighted_lambda_sum(CUBIC2, POWER1, 130).value
+        lhs = weighted_lambda_sum(2, POWER1, 130).value
         assert lambda_sum_rhs(2, 130) == pytest.approx(lhs, rel=1e-9)
 
     def test_tiny_range(self):
-        lhs = weighted_lambda_sum(CUBIC2, POWER1, 2).value
+        lhs = weighted_lambda_sum(2, POWER1, 2).value
         assert lambda_sum_rhs(2, 2) == pytest.approx(lhs, abs=1e-12)
 
     def test_budget(self):
@@ -337,20 +293,19 @@ class TestLambdaSumRhs:
             lambda_sum_rhs(2, 10**5 + 1)
 
     def test_other_shift(self):
-        lhs = weighted_lambda_sum(Polynomial.cubic(5), POWER1, 3000).value
+        lhs = weighted_lambda_sum(5, POWER1, 3000).value
         assert lambda_sum_rhs(5, 3000) == pytest.approx(lhs, rel=1e-9)
 
     @pytest.mark.parametrize("k", [2, 54, -2])
     def test_crt_roots_equal_scan_per_divisor(self, k):
         # the route before CRT: mu from the sieve, roots by a scan mod every d
         x = 3000
-        f = Polynomial.cubic(k)
         lo, hi = min_index(k) - 1, max_index(k, x)
         mu = sieve_range(x).mu
         total = 0.0
         for d in range(2, x + 1):
             if mu[d]:
-                roots = roots_mod(f, d)
+                roots = roots_mod(k, d)
                 s = sum(n for n in range(lo, hi + 1) if n % d in roots)
                 if s:
                     total += int(mu[d]) * math.log(d) * s
@@ -421,7 +376,7 @@ class TestPrimePowerTail:
     def test_matches_weighted_tail_when_no_negative_indices(self):
         for k in (1, 2):
             tail, _ = prime_power_tail(k, [10**4])[0]
-            rec = weighted_lambda_sum(Polynomial.cubic(k), POWER1, 10**4)
+            rec = weighted_lambda_sum(k, POWER1, 10**4)
             assert tail == pytest.approx(rec.tail_value, rel=1e-13, abs=1e-13)
 
     def test_capacity(self):
@@ -437,10 +392,9 @@ class TestSegmentedWalk:
     @pytest.mark.parametrize(
         "weight", [POWER1, Weight("totient"), Weight("sigma"), Weight("tau")], ids=str)
     def test_weighted_sum_equals_factorized_route(self, k, weight):
-        f = Polynomial.cubic(k)
         for x in ENGINE_X:
-            rec = weighted_lambda_sum(f, weight, x)
-            assert (rec.value, rec.tail_value) == reference_weighted_sum(f, weight, x)
+            rec = weighted_lambda_sum(k, weight, x)
+            assert (rec.value, rec.tail_value) == reference_weighted_sum(k, weight, x)
 
     @pytest.mark.parametrize("k", ENGINE_K)
     def test_tails_equal_factorized_route(self, k):
@@ -451,21 +405,15 @@ class TestSegmentedWalk:
     @given(k=st.integers(-10**4, 10**4), x=st.integers(1, 10**7))
     @settings(max_examples=60, deadline=None)
     def test_random_shift_equals_factorized_route(self, k, x):
-        f = Polynomial.cubic(k)
-        rec = weighted_lambda_sum(f, POWER1, x)
-        assert (rec.value, rec.tail_value) == reference_weighted_sum(f, POWER1, x)
+        rec = weighted_lambda_sum(k, POWER1, x)
+        assert (rec.value, rec.tail_value) == reference_weighted_sum(k, POWER1, x)
         assert prime_power_tail(k, [x])[0][0] == reference_tail(k, x)
-
-    def test_general_cubic_equals_factorized_route(self):
-        f = Polynomial((3, 2, 3, 1))
-        rec = weighted_lambda_sum(f, POWER1, 10**6)
-        assert (rec.value, rec.tail_value) == reference_weighted_sum(f, POWER1, 10**6)
 
     def test_power_of_a_prescreen_prime_is_found(self):
         # 3^3 - 2 = 5^2: the progression sieve strikes n = 3 (5 divides 25),
         # so only the power filter can hand this value on
         assert not _alive(3, 3, _prescreen(-2, 1000))[0]
-        rec = weighted_lambda_sum(Polynomial.cubic(-2), POWER1, 10**9)
+        rec = weighted_lambda_sum(-2, POWER1, 10**9)
         assert rec.tail_value == 3 * math.log(5)
         assert prime_power_tail(-2, [10**14])[0][0] == 3 * math.log(5)
 

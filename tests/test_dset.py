@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from cubicprimes import (
     DomainError,
-    Polynomial,
     ResourceError,
     dset_density,
     enumerate_dset,
@@ -15,8 +14,7 @@ from cubicprimes import (
     rho_bruteforce,
 )
 
-CUBIC2 = Polynomial.cubic(2)
-MEMBERS_300 = enumerate_dset(CUBIC2, 300)
+MEMBERS_300 = enumerate_dset(2, 300)
 
 
 def coprime_member_pairs():
@@ -29,89 +27,81 @@ def coprime_member_pairs():
 
 class TestMembership:
     def test_one_is_always_a_member(self):
-        assert in_dset(CUBIC2, 1)
+        assert in_dset(2, 1)
 
     def test_seven_excluded_by_prime_classification(self):
-        assert not in_dset(CUBIC2, 7)
+        assert not in_dset(2, 7)
 
     def test_nine_excluded_at_the_prime_square(self):
         # solvable mod 3 but not mod 9: membership is about the full
         # prime-power level, not the prime alone
-        assert in_dset(CUBIC2, 3)
-        assert not in_dset(CUBIC2, 9)
+        assert in_dset(2, 3)
+        assert not in_dset(2, 9)
 
     def test_explicit_small_members_and_non_members(self):
         for d in (1, 2, 3, 5, 6, 10):
-            assert in_dset(CUBIC2, d)
+            assert in_dset(2, d)
         for d in (4, 7, 9):
-            assert not in_dset(CUBIC2, d)
+            assert not in_dset(2, d)
 
     def test_lifted_prime_power_member(self):
-        assert in_dset(CUBIC2, 25)
-        assert not in_dset(CUBIC2, 8)
+        assert in_dset(2, 25)
+        assert not in_dset(2, 8)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            in_dset(CUBIC2, 0)
+            in_dset(2, 0)
 
     @given(d=st.integers(1, 4000))
     @settings(max_examples=250, deadline=None)
     def test_membership_is_solvability(self, d):
-        assert in_dset(CUBIC2, d) == (rho_bruteforce(CUBIC2, d) >= 1)
+        assert in_dset(2, d) == (rho_bruteforce(2, d) >= 1)
 
     @given(pair=coprime_member_pairs())
     @settings(max_examples=200, deadline=None)
     def test_coprime_members_multiply(self, pair):
         d1, d2 = pair
-        assert in_dset(CUBIC2, d1) and in_dset(CUBIC2, d2)
-        assert in_dset(CUBIC2, d1 * d2)
+        assert in_dset(2, d1) and in_dset(2, d2)
+        assert in_dset(2, d1 * d2)
 
 
 class TestEnumeration:
     def test_up_to_ten(self):
-        assert enumerate_dset(CUBIC2, 10) == [1, 2, 3, 5, 6, 10]
+        assert enumerate_dset(2, 10) == [1, 2, 3, 5, 6, 10]
 
     def test_limit_one(self):
-        assert enumerate_dset(CUBIC2, 1) == [1]
+        assert enumerate_dset(2, 1) == [1]
 
     def test_up_to_31(self):
-        members = set(enumerate_dset(CUBIC2, 31))
+        members = set(enumerate_dset(2, 31))
         assert 31 in members
         assert members.isdisjoint({7, 13, 19})
 
     def test_matches_per_d_membership(self):
-        members = set(enumerate_dset(CUBIC2, 400))
+        members = set(enumerate_dset(2, 400))
         for d in range(1, 401):
-            assert (d in members) == in_dset(CUBIC2, d)
-
-    def test_general_polynomial_agrees_with_scan(self):
-        f = Polynomial((3, 2, 3, 1))
-        members = set(enumerate_dset(f, 200))
-        for d in range(1, 201):
-            assert (d in members) == (rho_bruteforce(f, d) >= 1)
+            assert (d in members) == in_dset(2, d)
 
     def test_budget_guards(self):
         with pytest.raises(ResourceError):
-            enumerate_dset(CUBIC2, 10**7 + 1)
-        with pytest.raises(ResourceError):
-            enumerate_dset(Polynomial((3, 2, 3, 1)), 10**5 + 1)
+            enumerate_dset(2, 10**7 + 1)
         with pytest.raises(DomainError):
-            enumerate_dset(CUBIC2, 0)
+            enumerate_dset(2, 0)
 
 
 class TestDensity:
     def test_ten(self):
-        stats = dset_density(CUBIC2, 10, [10])
+        stats = dset_density(2, 10, [10])
         assert stats.count == 6
         assert stats.checkpoints == [(10, 6, 0.6)]
 
     def test_limit_one(self):
-        stats = dset_density(CUBIC2, 1, [1])
+        stats = dset_density(2, 1, [1])
         assert stats.count == 1
         assert stats.checkpoints[0][1:] == (1, 1.0)
 
     def test_ratios_strictly_decreasing_to_a_million(self):
-        stats = dset_density(CUBIC2, 10**6, [10**3, 10**4, 10**5, 10**6])
+        stats = dset_density(2, 10**6, [10**3, 10**4, 10**5, 10**6])
         ratios = [r for _, _, r in stats.checkpoints]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
         assert stats.decay_exponent is not None
@@ -119,21 +109,21 @@ class TestDensity:
 
     def test_checkpoint_validation(self):
         with pytest.raises(DomainError):
-            dset_density(CUBIC2, 100, [])
+            dset_density(2, 100, [])
         with pytest.raises(DomainError):
-            dset_density(CUBIC2, 100, [50, 200])
+            dset_density(2, 100, [50, 200])
         with pytest.raises(DomainError):
-            dset_density(CUBIC2, 100, [50, 20])
+            dset_density(2, 100, [50, 20])
 
     def test_counts_nondecreasing(self):
-        stats = dset_density(CUBIC2, 5000, [10, 100, 1000, 5000])
+        stats = dset_density(2, 5000, [10, 100, 1000, 5000])
         counts = [c for _, c, _ in stats.checkpoints]
         assert counts == sorted(counts)
 
 
 class TestMembersAndMobius:
     def test_alignment(self, tables_small):
-        members, mu = members_and_mobius(CUBIC2, 10**4)
-        assert list(members) == enumerate_dset(CUBIC2, 10**4)
+        members, mu = members_and_mobius(2, 10**4)
+        assert list(members) == enumerate_dset(2, 10**4)
         assert list(mu) == list(tables_small.mu[members])
         assert mu[0] == 1  # member 1 has mu = 1

@@ -8,7 +8,6 @@ from cubicprimes import (
     Branch,
     CubicTag,
     DomainError,
-    Polynomial,
     QuadraticForm,
     ResourceError,
     chi,
@@ -24,8 +23,6 @@ from cubicprimes import (
     roots_mod,
 )
 from cubicprimes.residues import _rho_prime, represent_by_form
-
-CUBIC2 = Polynomial.cubic(2)
 
 
 def primes_one_mod_three(tables, lo, hi):
@@ -212,9 +209,8 @@ class TestRho:
 
     @pytest.mark.parametrize("k", [2, -2, 54, -54, 250, -128, 0, 8, 2 * 3 * 5 * 7])
     def test_root_count_rule_matches_scan(self, k):
-        f = Polynomial.cubic(k)
         for p in primes_up_to(2000).tolist():
-            assert _rho_prime(k, p) == len(roots_mod(f, p)), p
+            assert _rho_prime(k, p) == len(roots_mod(k, p)), p
 
     def test_rho_reference(self):
         assert rho(2, 1) == 1
@@ -226,35 +222,52 @@ class TestRho:
             rho(2, 9)
 
     def test_bruteforce_reference(self):
-        assert rho_bruteforce(CUBIC2, 1) == 1
-        assert rho_bruteforce(CUBIC2, 9) == 0
-        assert rho_bruteforce(CUBIC2, 31) == 3
+        assert rho_bruteforce(2, 1) == 1
+        assert rho_bruteforce(2, 9) == 0
+        assert rho_bruteforce(2, 31) == 3
 
     def test_roots_mod_31(self):
-        assert roots_mod(CUBIC2, 31) == [11, 24, 27]
+        assert roots_mod(2, 31) == [11, 24, 27]
 
     def test_root_mod_15_is_seven(self):
-        assert roots_mod(CUBIC2, 15) == [7]
+        assert roots_mod(2, 15) == [7]
 
     def test_budget(self):
         with pytest.raises(ResourceError):
-            roots_mod(CUBIC2, 10**7 + 1)
+            roots_mod(2, 10**7 + 1)
 
     @given(q=st.integers(1, 3000))
     @settings(max_examples=250, deadline=None)
     def test_formula_matches_scan_on_squarefree(self, q):
         assume(factorize(q).is_squarefree)
-        assert rho(2, q) == rho_bruteforce(CUBIC2, q)
+        assert rho(2, q) == rho_bruteforce(2, q)
 
     @given(k=st.integers(-50, 50), q=st.integers(1, 500))
     @settings(max_examples=200, deadline=None)
     def test_formula_matches_scan_other_shifts(self, k, q):
         assume(factorize(q).is_squarefree)
-        assert rho(k, q) == rho_bruteforce(Polynomial.cubic(k), q)
+        assert rho(k, q) == rho_bruteforce(k, q)
+
+    @pytest.mark.parametrize("k", [2, -128])
+    def test_roots_mod_where_cubes_overflow_int64(self, k):
+        # above m = 2.1e6, m^3 no longer fits in int64: one prime with three
+        # roots, one = 1 mod 3 with none, and one = 2 mod 3 (one root)
+        by_count = {}
+        p = 3_000_001
+        while len(by_count) < 3:
+            if is_prime(p):
+                by_count.setdefault(_rho_prime(k, p), p)
+            p += 2
+        assert sorted(by_count) == [0, 1, 3] and max(by_count.values()) < 10**7
+        for count, p in by_count.items():
+            assert p**3 > 2**63
+            roots = roots_mod(k, p)
+            assert all((r**3 + k) % p == 0 for r in roots)
+            assert len(roots) == count == _rho_prime(k, p)
 
     @given(m=st.integers(1, 2000))
     @settings(max_examples=150, deadline=None)
     def test_roots_actually_vanish(self, m):
-        for r in roots_mod(CUBIC2, m):
+        for r in roots_mod(2, m):
             assert (r**3 + 2) % m == 0
             assert 0 <= r < m

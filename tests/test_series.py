@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cubicprimes import (
     DomainError,
-    Polynomial,
     QuadraticForm,
     ResourceError,
     dirichlet_partial_sum,
@@ -18,7 +17,6 @@ from cubicprimes import (
     representation_counts,
 )
 
-CUBIC2 = Polynomial.cubic(2)
 SQUARES = QuadraticForm(1, 0, 1)
 RESIDUE = QuadraticForm(1, 0, 27)
 NONRESIDUE = QuadraticForm(4, 2, 7)
@@ -26,37 +24,37 @@ NONRESIDUE = QuadraticForm(4, 2, 7)
 
 class TestDirichletPartialSum:
     def test_single_term_is_zero(self):
-        rec = dirichlet_partial_sum(CUBIC2, 1.0, 1)[0]
+        rec = dirichlet_partial_sum(2, 1.0, 1)[0]
         assert rec.value == 0.0
         assert rec.terms_used == 1
 
     def test_two_terms(self):
-        rec = dirichlet_partial_sum(CUBIC2, 1.0, 2)[0]
+        rec = dirichlet_partial_sum(2, 1.0, 2)[0]
         assert rec.value == pytest.approx(-math.log(2) / 2, rel=1e-15)
 
     def test_ten_terms_hand_value(self):
-        rec = dirichlet_partial_sum(CUBIC2, 1.0, 10)[0]
+        rec = dirichlet_partial_sum(2, 1.0, 10)[0]
         expected = (-math.log(2) / 2 - math.log(3) / 3 - math.log(5) / 5
                     + math.log(6) / 6 + math.log(10) / 10)
         assert rec.value == pytest.approx(expected, rel=1e-14)
         assert rec.value == pytest.approx(-0.5057801814854156, rel=1e-13)
 
     def test_checkpoint_prefix_property(self):
-        full = dirichlet_partial_sum(CUBIC2, 1.0, 10**4, checkpoints=[10, 100, 10**4])
+        full = dirichlet_partial_sum(2, 1.0, 10**4, checkpoints=[10, 100, 10**4])
         for rec in full:
-            alone = dirichlet_partial_sum(CUBIC2, 1.0, rec.x)[0]
+            alone = dirichlet_partial_sum(2, 1.0, rec.x)[0]
             assert alone.value == rec.value
             assert alone.terms_used == rec.terms_used
 
     def test_higher_s_shrinks_terms(self):
-        v1 = abs(dirichlet_partial_sum(CUBIC2, 1.0, 1000)[0].value)
-        v2 = abs(dirichlet_partial_sum(CUBIC2, 2.0, 1000)[0].value)
+        v1 = abs(dirichlet_partial_sum(2, 1.0, 1000)[0].value)
+        v2 = abs(dirichlet_partial_sum(2, 2.0, 1000)[0].value)
         assert v2 < v1
 
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
     def test_non_finite_s_refused(self, s):
         with pytest.raises(DomainError):
-            dirichlet_partial_sum(CUBIC2, s, 100)
+            dirichlet_partial_sum(2, s, 100)
         with pytest.raises(DomainError):
             epstein_zeta_partial(RESIDUE, s, 100)
         with pytest.raises(DomainError):
@@ -64,29 +62,29 @@ class TestDirichletPartialSum:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            dirichlet_partial_sum(CUBIC2, 0.5, 100)
+            dirichlet_partial_sum(2, 0.5, 100)
         with pytest.raises(DomainError):
-            dirichlet_partial_sum(CUBIC2, 1.0, 0)
+            dirichlet_partial_sum(2, 1.0, 0)
         with pytest.raises(DomainError):
-            dirichlet_partial_sum(CUBIC2, 1.0, 100, checkpoints=[50, 20])
+            dirichlet_partial_sum(2, 1.0, 100, checkpoints=[50, 20])
         with pytest.raises(DomainError):
-            dirichlet_partial_sum(CUBIC2, 1.0, 100, checkpoints=[200])
+            dirichlet_partial_sum(2, 1.0, 100, checkpoints=[200])
 
 
 class TestKappaTrajectory:
     def test_degenerate_single_checkpoint(self):
-        kt = kappa_trajectory(CUBIC2, 10)
+        kt = kappa_trajectory(2, 10)
         assert len(kt.records) == 1
         assert kt.fitted_kappa == -kt.records[0].value
         assert kt.fit_residual == 0.0
 
     def test_deterministic_recomputation(self):
-        a = kappa_trajectory(CUBIC2, 10**3)
-        b = kappa_trajectory(CUBIC2, 10**3)
+        a = kappa_trajectory(2, 10**3)
+        b = kappa_trajectory(2, 10**3)
         assert a == b
 
     def test_million_scale_fit_is_finite(self):
-        kt = kappa_trajectory(CUBIC2, 10**5)
+        kt = kappa_trajectory(2, 10**5)
         assert math.isfinite(kt.fitted_kappa)
         assert kt.fitted_kappa > 0
         assert len(kt.records) == 5
