@@ -45,6 +45,9 @@ COMMANDS = [
     ["chebyshev", "--k", "17", "--x", "1000000"],
     *(["tail", "--k", str(-k), "--checkpoints", "1000000000,1000000000000,100000000000000"]
       for k in BENCH_K),
+    # values above 2^63, where the batch certifier's REDC quotient can overflow
+    *(["count", "--k", str(k), "--checkpoints",
+       "1000000000000000,1000000000000000000,18446744073709551615"] for k in (2, -128)),
 ]
 
 

@@ -4,6 +4,8 @@ and exact integer roots.
 
 Values handled here are plain Python ints, which never overflow;
 the 64-bit guards below are input budgets, not wraparound protection.
+The one exception is is_prime_batch, which takes uint64 arrays and does
+exact arithmetic mod 2^64 on 32-bit limbs.
 """
 
 from __future__ import annotations
@@ -125,6 +127,88 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b, from 32-bit limbs."""
+    a0, a1 = a & _LOW32, a >> 32
+    b0, b1 = b & _LOW32, b >> 32
+    mid = a1 * b0 + ((a0 * b0) >> 32)
+    return a1 * b1 + (mid >> 32) + ((a0 * b1 + (mid & _LOW32)) >> 32)
+
+
+def _montmul(a: np.ndarray, b: np.ndarray, n: np.ndarray, ninv: np.ndarray) -> np.ndarray:
+    """a * b / 2^64 mod n (Montgomery REDC) for a, b < n, n odd, and
+    ninv = -1/n mod 2^64.
+
+    With m = (a*b mod 2^64) * ninv, a*b + m*n is divisible by 2^64; its
+    quotient is hi(a*b) + hi(m*n) plus a carry from the low words, which
+    is 1 unless the low word of a*b is 0. The quotient is below 2n, which
+    overflows 64 bits when n > 2^63; that case, like quotient >= n, takes
+    one subtraction of n (wrapping back into range).
+    """
+    lo = a * b
+    s1 = _mulhi(a, b) + (lo != 0)
+    s = s1 + _mulhi(lo * ninv, n)
+    return np.where((s < s1) | (s >= n), s - n, s)
+
+
+def _is_prime_odd_batch(n: np.ndarray) -> np.ndarray:
+    """Strong-probable-prime verdicts on the 7 bases of _MR_BASES for odd
+    n > 37 in uint64, in Montgomery form with R = 2^64. A base = 0 mod n
+    is skipped, as in is_prime; after each base only values that passed it
+    stay in the batch."""
+    verdict = np.ones(n.size, dtype=bool)
+    idx = np.arange(n.size)
+    ninv = n.copy()  # Newton: n * n = 1 mod 8, and each step doubles the correct bits
+    for _ in range(5):
+        ninv *= 2 - n * ninv
+    ninv = 0 - ninv
+    one = (0 - n) % n  # R mod n, the Montgomery form of 1
+    r2 = one.copy()  # R^2 mod n by 64 modular doublings of R mod n
+    for _ in range(64):
+        twice = r2 << 1
+        r2 = np.where((r2 >> 63 == 1) | (twice >= n), twice - n, twice)
+    m = n - 1  # = d * 2^s with d odd; 2^s, its lowest set bit, is exact as a float
+    s = (np.frexp((m & (0 - m)).astype(np.float64))[1] - 1).astype(np.uint64)
+    d = m >> s
+    for a in _MR_BASES:
+        base = np.uint64(a) % n
+        am = _montmul(base, r2, n, ninv)
+        minus_one = n - one
+        x = one
+        for bit in range(int(d.max()).bit_length() - 1, -1, -1):
+            x = _montmul(x, x, n, ninv)
+            x = np.where((d >> bit) & 1 == 1, _montmul(x, am, n, ninv), x)
+        passed = (base == 0) | (x == one) | (x == minus_one)
+        for j in range(1, int(s.max())):
+            x = _montmul(x, x, n, ninv)
+            passed |= (x == minus_one) & (s > j)
+        verdict[idx[~passed]] = False
+        idx, n, ninv, one, r2, s, d = (t[passed] for t in (idx, n, ninv, one, r2, s, d))
+        if not idx.size:
+            break
+    return verdict
+
+
+def is_prime_batch(values: np.ndarray) -> np.ndarray:
+    """is_prime on every entry of a uint64 array, as a bool array: the
+    same small-prime rule (v == p is prime, p | v composite) and the same
+    7 Miller-Rabin bases, run together in exact 64-bit Montgomery
+    arithmetic (32-bit limbs for each 128-bit product)."""
+    values = np.asarray(values, dtype=np.uint64)
+    out = values >= 2
+    rest = out.copy()
+    for p in _SMALL_PRIMES:
+        hit = rest & (values % np.uint64(p) == 0)
+        out[hit] = values[hit] == p
+        rest &= ~hit
+    if rest.any():
+        out[rest] = _is_prime_odd_batch(values[rest])
+    return out
 
 
 def _pollard_brent(n: int) -> int:

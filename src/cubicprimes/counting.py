@@ -3,9 +3,12 @@ the count's predicted main term.
 
 The observed side is one walk over the index range of n^3 + k in ascending
 65536-index segments. Each segment gives two masks: a progression sieve
-against small primes (survivors go to deterministic Miller-Rabin) and, for
-the Lambda sums, a residue filter that passes every value that could be a
-proper prime power (candidates go to exact integer roots). Counts, the
+against small primes, whose survivors are certified together by the
+batched Montgomery Miller-Rabin (is_prime_batch, one call per segment),
+and, for the Lambda sums, a residue filter that passes every value that
+could be a proper prime power (candidates go to exact integer roots and
+the scalar is_prime). Scalar is_prime is also the reference route:
+enumerate_cubic_primes tests every value with it. Counts, the
 weighted Lambda sums and the prime-power tail are reductions over that
 walk, so Lambda(v) is log v on a certified prime, log p on a certified p^e
 and 0 elsewhere, without factorising. The predicted side is the truncated
@@ -27,6 +30,7 @@ from .arith import (
     U64_MAX,
     integer_root,
     is_prime,
+    is_prime_batch,
     primes_up_to,
     sigma,
     tau,
@@ -221,8 +225,10 @@ def _walk(k: int, lo: int, bounds: list[int], primes: bool = True, powers: bool 
     that is prime (p = v, when primes is set) or a proper prime power p^e
     (when powers is set), and None on reaching each bound.
 
-    Sieve survivors are certified by is_prime and filter candidates by
-    _prime_power_base; the masks only decide which values get tested.
+    Each segment's sieve survivors are formed as uint64 values (exact,
+    since every walked value lies in [0, 2^64)) and certified by one
+    is_prime_batch call; filter candidates go one by one to
+    _prime_power_base. The masks only decide which values get tested.
     """
     prescreen = _prescreen(k, _prescreen_bound(bounds[-1] - lo + 1)) if primes else ()
     power_filter = _power_filter(k, (bounds[-1] ** 3 + k).bit_length()) if powers else ()
@@ -230,12 +236,16 @@ def _walk(k: int, lo: int, bounds: list[int], primes: bool = True, powers: bool 
         while lo <= b:
             hi = min(lo + _SEGMENT - 1, b)
             size = hi - lo + 1
-            alive = _alive(lo, hi, prescreen) if primes else np.zeros(size, dtype=bool)
+            prime = np.zeros(size, dtype=bool)
+            if primes:
+                alive = np.flatnonzero(_alive(lo, hi, prescreen))
+                nu = alive.astype(np.uint64) + np.uint64(lo % 2**64)
+                prime[alive] = is_prime_batch(nu * nu * nu + np.uint64(k % 2**64))
             maybe = _maybe_power(lo, size, power_filter) if powers else np.zeros(size, dtype=bool)
-            for i in np.flatnonzero(alive | maybe).tolist():
+            for i in np.flatnonzero(prime | maybe).tolist():
                 n = lo + i
                 v = n * n * n + k
-                if alive[i] and is_prime(v):
+                if prime[i]:
                     yield n, v, v
                 elif maybe[i] and v >= 4:
                     p = _prime_power_base(v)
@@ -265,7 +275,11 @@ def count_cubic_primes(k: int, x: int) -> int:
 
 
 def enumerate_cubic_primes(k: int, n_max: int) -> list[tuple[int, int]]:
-    """All (n, n^3 + k) with the value prime, for n from min_index(k) to n_max."""
+    """All (n, n^3 + k) with the value prime, for n from min_index(k) to n_max.
+
+    Every value goes to scalar is_prime, without the walk's sieve or batch
+    certifier, so this is a route independent of count_cubic_primes.
+    """
     if n_max >= 0 and n_max**3 + k > U64_MAX:
         raise CapacityError(f"n^3 + k at n = {n_max} exceeds the unsigned 64-bit value budget")
     out = []

@@ -63,8 +63,9 @@ def in_dset(k: int, d: int) -> bool:
     return True
 
 
-def enumerate_dset(k: int, limit: int) -> list[int]:
-    """Sorted list of every modulus d <= limit with x^3 + k solvable mod d.
+def enumerate_dset(k: int, limit: int) -> np.ndarray:
+    """Ascending int64 array of every modulus d <= limit with x^3 + k
+    solvable mod d.
 
     Sieve-style: for each prime, find the largest exponent E with
     x^3 + k solvable mod p^E inside the limit, then strike all multiples of
@@ -77,8 +78,6 @@ def enumerate_dset(k: int, limit: int) -> list[int]:
         raise ResourceError(f"limit {limit} exceeds enumeration budget {ENUMERATION_LIMIT}")
     ok = np.ones(limit + 1, dtype=bool)
     ok[0] = False
-    if limit == 1:
-        return [1]
     boundary = math.isqrt(limit)
     for p in map(int, primes_up_to(limit)):
         if p <= boundary:
@@ -95,7 +94,7 @@ def enumerate_dset(k: int, limit: int) -> list[int]:
                 q, j = q * p, j + 1
         elif _rho_prime(k, p) == 0:
             ok[p::p] = False
-    return np.flatnonzero(ok).tolist()
+    return np.flatnonzero(ok)
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def dset_density(k: int, limit: int, checkpoints: list[int]) -> DsetStats:
         raise DomainError("checkpoints must be nonempty and within [1, limit]")
     if sorted(checkpoints) != list(checkpoints):
         raise DomainError("checkpoints must be ascending")
-    members = np.asarray(enumerate_dset(k, limit), dtype=np.int64)
+    members = enumerate_dset(k, limit)
     rows = []
     for x in checkpoints:
         cnt = int(np.searchsorted(members, x, side="right"))
@@ -143,5 +142,5 @@ def dset_density(k: int, limit: int, checkpoints: list[int]) -> DsetStats:
 def members_and_mobius(k: int, limit: int):
     """Solvable moduli <= limit alongside their Mobius values; shared by the
     series partial sums."""
-    members = np.asarray(enumerate_dset(k, limit), dtype=np.int64)
+    members = enumerate_dset(k, limit)
     return members, sieve_range(max(limit, 2)).mu[members]

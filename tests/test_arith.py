@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,8 @@ from cubicprimes import (
     von_mangoldt,
     von_mangoldt_via_mobius,
 )
+from cubicprimes.arith import is_prime_batch
+from cubicprimes.counting import _alive, _prescreen, _prescreen_bound, max_index, min_index
 
 
 class TestSieve:
@@ -113,6 +117,54 @@ class TestPrimality:
     @settings(max_examples=100)
     def test_products_are_composite(self, a, b):
         assert not is_prime(a * b)
+
+
+def batch_equals_scalar(values) -> None:
+    verdicts = is_prime_batch(np.array(values, dtype=np.uint64))
+    assert verdicts.dtype == bool
+    assert verdicts.tolist() == [is_prime(v) for v in values]
+
+
+class TestPrimalityBatch:
+    """The Montgomery batch certifier against scalar is_prime, verdict for
+    verdict."""
+
+    def test_every_value_below_2e5(self):
+        batch_equals_scalar(range(2 * 10**5))
+
+    def test_empty_batch(self):
+        assert is_prime_batch(np.array([], dtype=np.uint64)).tolist() == []
+
+    def test_prescreen_survivors_of_k2_to_1e15(self):
+        lo, hi = min_index(2), max_index(2, 10**15)
+        alive = np.flatnonzero(_alive(lo, hi, _prescreen(2, _prescreen_bound(hi - lo + 1))))
+        n = alive + lo
+        assert alive.size > 7000
+        batch_equals_scalar([int(m) ** 3 + 2 for m in n])
+
+    def test_odd_sample_above_2_63(self):
+        # the REDC quotient overflows 64 bits only when n > 2^63
+        rng = random.Random(20131)
+        batch_equals_scalar([rng.randrange(2**63, 2**64) | 1 for _ in range(20000)])
+
+    def test_strong_pseudoprimes_and_carmichael_numbers(self):
+        pseudoprimes = [3215031751, 2152302898747, 3474749660383, 341550071728321,
+                        3825123056546413051]
+        carmichael = [561, 41041, 825265, 321197185, 5394826801]
+        batch_equals_scalar(pseudoprimes + carmichael)
+        assert not is_prime_batch(np.array(pseudoprimes + carmichael, dtype=np.uint64)).any()
+
+    def test_near_2_64(self):
+        values = [4294967291**2, 4294967279**2, 2**64 - 59, 2**64 - 1]
+        batch_equals_scalar(values)
+        assert is_prime_batch(np.array(values, dtype=np.uint64)).tolist() == [
+            False, False, True, False]
+
+    def test_bases_divisible_by_n(self):
+        # 73 and 193 divide the base 28178; the scalar test skips such a base
+        values = [73, 193, 14089, 407521, 299210837, 407521 * 299210837]
+        assert any(a % v == 0 for v in values for a in (28178, 450775, 9780504, 1795265022))
+        batch_equals_scalar(values)
 
 
 class TestFactorize:

@@ -36,6 +36,8 @@ from cubicprimes.counting import (
     _power_filter,
     _power_moduli,
     _prescreen,
+    _prime_power_base,
+    _walk,
 )
 
 POWER1 = Weight("power", 1)
@@ -428,6 +430,26 @@ class TestSegmentedWalk:
                 for n in (-7, 0, 1, 12, 999, 2**21 + 5):
                     tables = _power_filter(v - n**3, q + 1)[i]
                     assert all(table[n % m] for m, table in tables), (b, q, n)
+
+    @pytest.mark.parametrize("k, lo, hi", [
+        (2, 2**21 - 35_000, 2**21 + 35_000),  # values cross 2^63
+        (2, max_index(2, 2**64 - 1) - 70_000, max_index(2, 2**64 - 1)),
+        (-128, 10**6, 10**6 + 70_000),
+        (2**62 + 1, -10**6, -10**6 + 70_000),  # n < 0: uint64 values from negative n
+    ])
+    def test_walk_hits_equal_scalar_loop(self, k, lo, hi):
+        # more than one 65536-index segment; primes by the batch certifier
+        expected = []
+        for n in range(lo, hi + 1):
+            v = n**3 + k
+            if is_prime(v):
+                expected.append((n, v, v))
+            elif v >= 4 and (p := _prime_power_base(v)) is not None:
+                expected.append((n, v, p))
+        hits = list(_walk(k, lo, [hi], primes=True, powers=True))
+        assert hits[-1] is None
+        assert hits[:-1] == expected
+        assert len(expected) > 1000
 
     def test_tails_need_ascending_checkpoints(self):
         assert prime_power_tail(2, []) == []

@@ -14,7 +14,7 @@ from cubicprimes import (
     rho_bruteforce,
 )
 
-MEMBERS_300 = enumerate_dset(2, 300)
+MEMBERS_300 = enumerate_dset(2, 300).tolist()
 
 
 def coprime_member_pairs():
@@ -67,10 +67,10 @@ class TestMembership:
 
 class TestEnumeration:
     def test_up_to_ten(self):
-        assert enumerate_dset(2, 10) == [1, 2, 3, 5, 6, 10]
+        assert enumerate_dset(2, 10).tolist() == [1, 2, 3, 5, 6, 10]
 
     def test_limit_one(self):
-        assert enumerate_dset(2, 1) == [1]
+        assert enumerate_dset(2, 1).tolist() == [1]
 
     def test_up_to_31(self):
         members = set(enumerate_dset(2, 31))
@@ -124,6 +124,6 @@ class TestDensity:
 class TestMembersAndMobius:
     def test_alignment(self, tables_small):
         members, mu = members_and_mobius(2, 10**4)
-        assert list(members) == enumerate_dset(2, 10**4)
+        assert members.tolist() == enumerate_dset(2, 10**4).tolist()
         assert list(mu) == list(tables_small.mu[members])
         assert mu[0] == 1  # member 1 has mu = 1
