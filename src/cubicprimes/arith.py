@@ -5,7 +5,14 @@ and exact integer roots.
 Values handled here are plain Python ints, which never overflow;
 the 64-bit guards below are input budgets, not wraparound protection.
 The one exception is is_prime_batch, which takes uint64 arrays and does
-exact arithmetic mod 2^64 on 32-bit limbs.
+exact Montgomery arithmetic mod n on 32-bit limbs. It certifies by the
+Baillie-PSW test (a strong base-2 test and a strong Lucas test with
+Selfridge's parameters; Baillie and Wagstaff, Lucas pseudoprimes, Math.
+Comp. 1980). Scalar is_prime keeps the 7 Miller-Rabin bases and is the
+reference route, so the two agree by different algorithms: Feitsma and
+Galway's enumeration of the base-2 pseudoprimes below 2^64 shows that
+none of them passes the Lucas test (Baillie, Fiori and Wagstaff,
+Strengthening the Baillie-PSW primality test, Math. Comp. 2021).
 """
 
 from __future__ import annotations
@@ -132,73 +139,222 @@ def is_prime(n: int) -> bool:
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 
-def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """High 64 bits of the 128-bit products a * b, from 32-bit limbs."""
-    a0, a1 = a & _LOW32, a >> 32
-    b0, b1 = b & _LOW32, b >> 32
+def _mulhi(a0, a1, b0, b1):
+    """High 64 bits of the 128-bit products a * b, from the 32-bit limbs
+    a = a1 * 2^32 + a0 and b = b1 * 2^32 + b0."""
     mid = a1 * b0 + ((a0 * b0) >> 32)
     return a1 * b1 + (mid >> 32) + ((a0 * b1 + (mid & _LOW32)) >> 32)
 
 
-def _montmul(a: np.ndarray, b: np.ndarray, n: np.ndarray, ninv: np.ndarray) -> np.ndarray:
-    """a * b / 2^64 mod n (Montgomery REDC) for a, b < n, n odd, and
-    ninv = -1/n mod 2^64.
+class _Montgomery:
+    """Exact arithmetic mod a batch of odd moduli n in uint64, in Montgomery
+    form with R = 2^64: a residue x is held as x * R mod n. The limbs of n,
+    1/n mod R and R mod n (the form of 1) are computed once per batch.
+    Every operand is a reduced residue in [0, n)."""
 
-    With m = (a*b mod 2^64) * ninv, a*b + m*n is divisible by 2^64; its
-    quotient is hi(a*b) + hi(m*n) plus a carry from the low words, which
-    is 1 unless the low word of a*b is 0. The quotient is below 2n, which
-    overflows 64 bits when n > 2^63; that case, like quotient >= n, takes
-    one subtraction of n (wrapping back into range).
+    def __init__(self, n: np.ndarray):
+        self.n = n
+        self.n0, self.n1 = n & _LOW32, n >> 32
+        self.ninv = n.copy()  # Newton: n * n = 1 mod 8, and each step doubles the correct bits
+        for _ in range(5):
+            self.ninv *= 2 - n * self.ninv
+        self.one = (0 - n) % n
+        self.minus_one = n - self.one
+        self.half_n = (n >> 1) + 1  # x / 2 mod n is (x >> 1) + (n + 1) / 2 for odd x
+
+    def _redc(self, lo, hi):
+        """(hi * 2^64 + lo) / R mod n for a product of two residues.
+
+        With m = lo / n mod R, m*n has low word lo, so the product minus
+        m*n is (hi - hi(m*n)) * R exactly. Both high words are below n, so
+        the difference lies in (-n, n) and at most one n is added back.
+        """
+        m = lo * self.ninv
+        mn = _mulhi(m & _LOW32, m >> 32, self.n0, self.n1)
+        r = hi - mn
+        return np.where(hi < mn, r + self.n, r)
+
+    def take(self, keep) -> _Montgomery:
+        """The context for the moduli that keep selects."""
+        out = object.__new__(_Montgomery)
+        out.__dict__.update((name, t[keep]) for name, t in vars(self).items())
+        return out
+
+    def mul(self, a, b):
+        return self._redc(a * b, _mulhi(a & _LOW32, a >> 32, b & _LOW32, b >> 32))
+
+    def sqr(self, a):
+        a0, a1 = a & _LOW32, a >> 32
+        cross = a0 * a1
+        mid = cross + ((a0 * a0) >> 32)
+        return self._redc(a * a, a1 * a1 + (mid >> 32) + ((cross + (mid & _LOW32)) >> 32))
+
+    def add(self, a, b):
+        s = a + b
+        return np.where((s < a) | (s >= self.n), s - self.n, s)
+
+    def sub(self, a, b):
+        r = a - b
+        return np.where(a < b, r + self.n, r)
+
+    def half(self, a):
+        return (a >> 1) + (a & 1) * self.half_n
+
+    def small(self, c: np.ndarray) -> np.ndarray:
+        """The form of small signed integers c, 0 < |c| < n, by doubling
+        and adding R mod n over the bits of |c|."""
+        mag = np.abs(c).astype(np.uint64)
+        x = np.zeros_like(self.n)
+        for bit in range(int(mag.max()).bit_length() - 1, -1, -1):
+            x = self.add(x, x)
+            x = np.where((mag >> bit) & 1 == 1, self.add(x, self.one), x)
+        return np.where(c < 0, self.n - x, x)
+
+
+def _two_adic(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, d) with m = d * 2^s and d odd, for nonzero even m in uint64;
+    2^s, the lowest set bit, is exact as a float."""
+    s = (np.frexp((m & (0 - m)).astype(np.float64))[1] - 1).astype(np.uint64)
+    return s, m >> s
+
+
+def _strong_base2(n: np.ndarray) -> np.ndarray:
+    """Strong-probable-prime verdicts to base 2 for odd n > 2. The ladder
+    for 2^d multiplies by 2 with a modular doubling, not a product."""
+    mont = _Montgomery(n)
+    s, d = _two_adic(n - 1)
+    x = mont.one
+    for bit in range(int(d.max()).bit_length() - 1, -1, -1):
+        x = mont.sqr(x)
+        x = np.where((d >> bit) & 1 == 1, mont.add(x, x), x)
+    passed = (x == mont.one) | (x == mont.minus_one)
+    # x^(2^j) for j = 1 .. s - 1, on the values not yet decided
+    live = np.flatnonzero(~passed & (s > 1))
+    mont, x, s = mont.take(live), x[live], s[live]
+    j = 1
+    while live.size:
+        x = mont.sqr(x)
+        hit = x == mont.minus_one
+        passed[live[hit]] = True
+        j += 1
+        keep = ~hit & (s > j)
+        live, x, s, mont = live[keep], x[keep], s[keep], mont.take(keep)
+    return passed
+
+
+def _jacobi(a: int, m: int) -> int:
+    """The Jacobi symbol (a/m) for odd m > 0."""
+    a %= m
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if m % 8 in (3, 5):
+                t = -t
+        a, m = m, a
+        if a % 4 == 3 and m % 4 == 3:
+            t = -t
+        a %= m
+    return t if m == 1 else 0
+
+
+@lru_cache(maxsize=None)
+def _jacobi_table(m: int) -> np.ndarray:
+    """(r/m) for r = 0..m-1, as int8."""
+    return np.array([_jacobi(r, m) for r in range(m)], dtype=np.int8)
+
+
+def _selfridge(n: np.ndarray) -> np.ndarray:
+    """Selfridge's method A on odd non-square n > 1: the first D in 5, -7,
+    9, -11, 13, ... with Jacobi symbol (D/n) = -1, or 0 where a (D/n) = 0
+    with |D| < n comes first and shows n composite.
+
+    Every D of the sequence is 1 mod 4, so by reciprocity (D/n) = (n/|D|),
+    read from a table of residues mod |D|. A square n has no such D, and
+    the search would not end on one.
     """
-    lo = a * b
-    s1 = _mulhi(a, b) + (lo != 0)
-    s = s1 + _mulhi(lo * ninv, n)
-    return np.where((s < s1) | (s >= n), s - n, s)
+    out = np.zeros(n.size, dtype=np.int64)
+    pending = np.arange(n.size)
+    for a in count(5, 2):
+        if not pending.size:
+            return out
+        j = _jacobi_table(a)[n[pending] % np.uint64(a)]
+        out[pending[j == -1]] = a if a % 4 == 1 else -a
+        pending = pending[(j == 1) | ((j == 0) & (n[pending] <= a))]
+
+
+def _is_square(n: np.ndarray) -> np.ndarray:
+    """n == r^2 for some integer r, for n in uint64: the float square root
+    is off by at most 1 and is corrected exactly."""
+    r = np.minimum(np.sqrt(n.astype(np.float64)).astype(np.uint64), _LOW32)
+    r -= r * r > n
+    r += (r < _LOW32) & ((r + 1) * (r + 1) <= n)
+    return r * r == n
+
+
+def _strong_lucas(n: np.ndarray) -> np.ndarray:
+    """Strong Lucas probable-prime verdicts for odd n > 37 with no prime
+    factor up to 37, with Selfridge's parameters P = 1, Q = (1 - D)/4.
+
+    Squares are composite. Otherwise, with n + 1 = d * 2^s and d odd, n
+    passes when U_d = 0 or V_{d*2^r} = 0 mod n for some 0 <= r < s. U_k, V_k
+    and Q^k run up the bits of d in Montgomery form: from k to 2k by
+    U_2k = U_k V_k, V_2k = V_k^2 - 2Q^k, and from k to k + 1 by
+    U = (U_k + V_k)/2, V = (D U_k + V_k)/2.
+    """
+    verdict = np.zeros(n.size, dtype=bool)
+    idx = np.flatnonzero(~_is_square(n))
+    D = _selfridge(n[idx])
+    idx, D = idx[D != 0], D[D != 0]
+    if not idx.size:
+        return verdict
+    n = n[idx]
+    mont = _Montgomery(n)
+    dm, qm = mont.small(D), mont.small((1 - D) // 4)
+    s, d = _two_adic(n + 1)  # n + 1 < 2^64: 2^64 - 1 is divisible by 3
+    u, v, qk = np.zeros_like(n), mont.add(mont.one, mont.one), mont.one
+    for bit in range(int(d.max()).bit_length() - 1, -1, -1):
+        u = mont.mul(u, v)
+        v = mont.sub(mont.sqr(v), mont.add(qk, qk))
+        qk = mont.sqr(qk)
+        up = (d >> bit) & 1 == 1
+        u, v = (np.where(up, mont.half(mont.add(u, v)), u),
+                np.where(up, mont.half(mont.add(mont.mul(dm, u), v)), v))
+        qk = np.where(up, mont.mul(qk, qm), qk)
+    passed = (u == 0) | (v == 0)
+    # V_{d*2^j} for j = 1 .. s - 1, on the values not yet decided
+    live = np.flatnonzero(~passed & (s > 1))
+    mont, v, qk, s = mont.take(live), v[live], qk[live], s[live]
+    j = 1
+    while live.size:
+        v = mont.sub(mont.sqr(v), mont.add(qk, qk))
+        qk = mont.sqr(qk)
+        hit = v == 0
+        passed[live[hit]] = True
+        j += 1
+        keep = ~hit & (s > j)
+        live, v, qk, s, mont = live[keep], v[keep], qk[keep], s[keep], mont.take(keep)
+    verdict[idx] = passed
+    return verdict
 
 
 def _is_prime_odd_batch(n: np.ndarray) -> np.ndarray:
-    """Strong-probable-prime verdicts on the 7 bases of _MR_BASES for odd
-    n > 37 in uint64, in Montgomery form with R = 2^64. A base = 0 mod n
-    is skipped, as in is_prime; after each base only values that passed it
-    stay in the batch."""
-    verdict = np.ones(n.size, dtype=bool)
-    idx = np.arange(n.size)
-    ninv = n.copy()  # Newton: n * n = 1 mod 8, and each step doubles the correct bits
-    for _ in range(5):
-        ninv *= 2 - n * ninv
-    ninv = 0 - ninv
-    one = (0 - n) % n  # R mod n, the Montgomery form of 1
-    r2 = one.copy()  # R^2 mod n by 64 modular doublings of R mod n
-    for _ in range(64):
-        twice = r2 << 1
-        r2 = np.where((r2 >> 63 == 1) | (twice >= n), twice - n, twice)
-    m = n - 1  # = d * 2^s with d odd; 2^s, its lowest set bit, is exact as a float
-    s = (np.frexp((m & (0 - m)).astype(np.float64))[1] - 1).astype(np.uint64)
-    d = m >> s
-    for a in _MR_BASES:
-        base = np.uint64(a) % n
-        am = _montmul(base, r2, n, ninv)
-        minus_one = n - one
-        x = one
-        for bit in range(int(d.max()).bit_length() - 1, -1, -1):
-            x = _montmul(x, x, n, ninv)
-            x = np.where((d >> bit) & 1 == 1, _montmul(x, am, n, ninv), x)
-        passed = (base == 0) | (x == one) | (x == minus_one)
-        for j in range(1, int(s.max())):
-            x = _montmul(x, x, n, ninv)
-            passed |= (x == minus_one) & (s > j)
-        verdict[idx[~passed]] = False
-        idx, n, ninv, one, r2, s, d = (t[passed] for t in (idx, n, ninv, one, r2, s, d))
-        if not idx.size:
-            break
+    """Baillie-PSW verdicts for odd n > 37 with no prime factor up to 37
+    in uint64: a strong base-2 test, then a strong Lucas test on the
+    values that pass it. No composite below 2^64 passes both."""
+    verdict = _strong_base2(n)
+    idx = np.flatnonzero(verdict)
+    verdict[idx] = _strong_lucas(n[idx])
     return verdict
 
 
 def is_prime_batch(values: np.ndarray) -> np.ndarray:
     """is_prime on every entry of a uint64 array, as a bool array: the
-    same small-prime rule (v == p is prime, p | v composite) and the same
-    7 Miller-Rabin bases, run together in exact 64-bit Montgomery
-    arithmetic (32-bit limbs for each 128-bit product)."""
+    same small-prime rule (v == p is prime, p | v composite), then the
+    Baillie-PSW test (strong base 2, then strong Lucas) in exact 64-bit
+    Montgomery arithmetic on 32-bit limbs. Baillie-PSW has no pseudoprime
+    below 2^64, so the verdicts equal those of is_prime's 7 Miller-Rabin
+    bases, reached by a different algorithm."""
     values = np.asarray(values, dtype=np.uint64)
     out = values >= 2
     rest = out.copy()
@@ -251,13 +407,18 @@ def _trial_primes() -> tuple[int, ...]:
 def factorize(n: int) -> Factorization:
     """Full factorization of n >= 1: trial division by primes below 1000,
     then deterministic Pollard-Brent splitting with primality certification
-    of every final factor."""
+    of every final factor. A cofactor m that trial division leaves with
+    p * p > m for the next prime p has no smaller factor, so it is 1 or
+    prime and needs no test."""
     if n < 1:
         raise DomainError(f"cannot factor {n}; argument must be >= 1")
     m = n
     found: dict[int, int] = {}
     for p in _trial_primes():
         if p * p > m:
+            if m > 1:
+                found[m] = 1
+            m = 1
             break
         while m % p == 0:
             found[p] = found.get(p, 0) + 1

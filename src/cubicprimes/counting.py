@@ -4,8 +4,9 @@ the count's predicted main term.
 The observed side is one walk over the index range of n^3 + k in ascending
 65536-index segments. Each segment gives two masks: a progression sieve
 against small primes, whose survivors are certified together by the
-batched Montgomery Miller-Rabin (is_prime_batch, one call per segment),
-and, for the Lambda sums, a residue filter that passes every value that
+batched Baillie-PSW test (is_prime_batch: strong base 2, then strong
+Lucas, in Montgomery arithmetic; one call per segment), and, for the
+Lambda sums, a residue filter that passes every value that
 could be a proper prime power (candidates go to exact integer roots and
 the scalar is_prime). Scalar is_prime is also the reference route:
 enumerate_cubic_primes tests every value with it. Counts, the
@@ -227,8 +228,9 @@ def _walk(k: int, lo: int, bounds: list[int], primes: bool = True, powers: bool 
 
     Each segment's sieve survivors are formed as uint64 values (exact,
     since every walked value lies in [0, 2^64)) and certified by one
-    is_prime_batch call; filter candidates go one by one to
-    _prime_power_base. The masks only decide which values get tested.
+    Baillie-PSW is_prime_batch call; filter candidates go one by one to
+    _prime_power_base and the scalar is_prime. The masks only decide which
+    values get tested.
     """
     prescreen = _prescreen(k, _prescreen_bound(bounds[-1] - lo + 1)) if primes else ()
     power_filter = _power_filter(k, (bounds[-1] ** 3 + k).bit_length()) if powers else ()

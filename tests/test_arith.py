@@ -1,5 +1,7 @@
 import math
 import random
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -20,7 +22,8 @@ from cubicprimes import (
     von_mangoldt,
     von_mangoldt_via_mobius,
 )
-from cubicprimes.arith import is_prime_batch
+from cubicprimes import arith
+from cubicprimes.arith import _strong_base2, _strong_lucas, is_prime_batch
 from cubicprimes.counting import _alive, _prescreen, _prescreen_bound, max_index, min_index
 
 
@@ -125,8 +128,29 @@ def batch_equals_scalar(values) -> None:
     assert verdicts.tolist() == [is_prime(v) for v in values]
 
 
+@contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in the block once it has run for seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# The strong Lucas pseudoprimes below 60000 for Selfridge's parameters
+# (OEIS A217255); every prime factor of each is above 37.
+STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309,
+                             58519]
+
+
 class TestPrimalityBatch:
-    """The Montgomery batch certifier against scalar is_prime, verdict for
+    """The Baillie-PSW batch certifier against scalar is_prime, verdict for
     verdict."""
 
     def test_every_value_below_2e5(self):
@@ -166,6 +190,44 @@ class TestPrimalityBatch:
         assert any(a % v == 0 for v in values for a in (28178, 450775, 9780504, 1795265022))
         batch_equals_scalar(values)
 
+    def test_strong_lucas_pseudoprimes(self):
+        batch_equals_scalar(STRONG_LUCAS_PSEUDOPRIMES)
+        lucas = _strong_lucas(np.array(STRONG_LUCAS_PSEUDOPRIMES, dtype=np.uint64))
+        assert lucas.all()
+
+    def test_lucas_stage_below_60000(self):
+        # the Lucas stage alone passes the primes and exactly the listed
+        # pseudoprimes, so its D choice and its chain are Selfridge's
+        n = [v for v in range(41, 60000, 2) if all(v % p for p in arith._SMALL_PRIMES)]
+        passed = _strong_lucas(np.array(n, dtype=np.uint64))
+        assert [v for v, ok in zip(n, passed) if ok and not is_prime(v)] == \
+            STRONG_LUCAS_PSEUDOPRIMES
+        assert all(ok for v, ok in zip(n, passed) if is_prime(v))
+
+    def test_base2_pseudoprime_squares(self):
+        # the Wieferich primes 1093 and 3511 make their squares strong
+        # base-2 pseudoprimes, so these reach the square test
+        values = [1093**2, 3511**2]
+        assert _strong_base2(np.array(values, dtype=np.uint64)).all()
+        batch_equals_scalar(values)
+
+    def test_lucas_stage_refuses_squares_at_once(self):
+        # no D has (D/n) = -1 on a square; without the square test the D
+        # search runs until |D| reaches a prime factor of the root
+        roots = [3037000493, 4294967279, 4294967291]
+        with deadline(20):
+            verdicts = _strong_lucas(np.array([r * r for r in roots], dtype=np.uint64))
+        assert not verdicts.any()
+
+    def test_squares_of_primes_below_4000(self):
+        batch_equals_scalar([int(p) ** 2 for p in primes_up_to(4000)])
+
+    def test_odd_values_ending_at_2_64(self):
+        batch_equals_scalar(range(2**64 - 199999, 2**64, 2))
+
+    def test_odd_values_from_1e18(self):
+        batch_equals_scalar(range(10**18 + 1, 10**18 + 200000, 2))
+
 
 class TestFactorize:
     def test_one(self):
@@ -180,6 +242,36 @@ class TestFactorize:
     def test_domain(self):
         with pytest.raises(DomainError):
             factorize(0)
+
+    def test_equals_smallest_factor_sieve_to_2e5(self):
+        limit = 2 * 10**5
+        spf = np.arange(limit + 1)
+        for p in range(2, math.isqrt(limit) + 1):
+            if spf[p] == p:
+                block = spf[p * p :: p]
+                block[block > p] = p
+        spf = spf.tolist()
+        for n in range(1, limit + 1):
+            factors: dict[int, int] = {}
+            m = n
+            while m > 1:
+                factors[spf[m]] = factors.get(spf[m], 0) + 1
+                m //= spf[m]
+            assert factorize(n).factors == tuple(sorted(factors.items()))
+
+    def test_cofactors_past_trial_bound(self):
+        assert factorize(1009**2).factors == ((1009, 2),)
+        assert factorize(1009 * 1013).factors == ((1009, 1), (1013, 1))
+        assert factorize(2**61 - 1).factors == ((2**61 - 1, 1),)
+        assert factorize(4294967279 * 4294967291).factors == ((4294967279, 1), (4294967291, 1))
+
+    def test_prime_cofactor_needs_no_primality_test(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(arith, "is_prime", lambda v: calls.append(v) or is_prime(v))
+        assert factorize(2 * 99991).factors == ((2, 1), (99991, 1))
+        assert calls == []
+        factorize(1009 * 1013)  # no factor below 1000: the cofactor is tested
+        assert calls
 
     @given(st.integers(1, 10**12))
     @settings(max_examples=150, deadline=None)
