@@ -48,6 +48,12 @@ COMMANDS = [
     # values above 2^63, where the batch certifier's sums can pass 2^64
     *(["count", "--k", str(k), "--checkpoints",
        "1000000000000000,1000000000000000000,18446744073709551615"] for k in BENCH_K),
+    # the array root-count rule with other shifts, and with |k| >= 2^63
+    ["dseries", "--k", "-128", "--x", "3000000"],
+    ["dset", "--k", "7", "--x", "1000000"],
+    ["epstein", "--form", "4,2,7", "--s", "1", "--mu", "--x", "1000000"],
+    ["constant", "--k", "9223372036854775809", "--checkpoints", "100,10000,1000000"],
+    ["dset", "--k", "-36893488147419103235", "--x", "100000"],
 ]
 
 

@@ -38,10 +38,11 @@ from .arith import (
     totient,
 )
 from .errors import CapacityError, DomainError, ResourceError
-from .residues import _rho_prime, roots_mod
+from .residues import _rho_primes, roots_mod
 
 RHS_BUDGET = 10**5  # lambda_sum_rhs scans roots mod every prime <= x
-SERIES_BUDGET = 10**8  # singular_series loops in Python over every prime <= its cutoff
+SERIES_BUDGET = 10**8  # singular_series sieves every prime <= its cutoff
+_SERIES_BLOCK = 4096  # primes per cumprod block of singular_series
 PROGRESSION_BUDGET = 10**7  # progression_weighted_sum adds up to x // q terms per class
 _SEGMENT = 1 << 16
 _ROOT_EXPONENTS = tuple(int(p) for p in primes_up_to(64))  # prime e with 2^e < 2^64
@@ -300,9 +301,12 @@ def singular_series(k: int, p_cutoff: int) -> float:
     otherwise (none).
 
     The product converges only conditionally, so the order is part of the
-    contract; truncations oscillate slowly as the cutoff grows. A cube k
-    (0 included) makes x^3 + k reducible and raises DomainError; a cutoff
-    above SERIES_BUDGET raises ResourceError before any sieving.
+    contract; truncations oscillate slowly as the cutoff grows. The factors
+    are multiplied strictly left to right: np.cumprod over blocks of
+    _SERIES_BLOCK primes, the running product carried into each block's
+    first factor. A cube k (0 included) makes x^3 + k reducible and raises
+    DomainError; a cutoff above SERIES_BUDGET raises ResourceError before
+    any sieving.
     """
     if p_cutoff < 0:
         raise DomainError("p_cutoff must be >= 0")
@@ -311,9 +315,12 @@ def singular_series(k: int, p_cutoff: int) -> float:
     if integer_root(abs(k), 3) ** 3 == abs(k):
         raise DomainError(f"x^3 + {k} is reducible: {k} is a cube")
     out = 1.0
-    for p in primes_up_to(p_cutoff):
-        p = int(p)
-        out *= 1 - (_rho_prime(k, p) - 1) / (p - 1)
+    primes = primes_up_to(p_cutoff)
+    for lo in range(0, primes.size, _SERIES_BLOCK):
+        p = primes[lo : lo + _SERIES_BLOCK]
+        factors = 1 - (_rho_primes(k, p) - 1) / (p - 1)
+        factors[0] *= out
+        out = float(np.cumprod(factors)[-1])
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .arith import factorize, primes_up_to, sieve_range
 from .errors import DomainError, ResourceError
-from .residues import _rho_prime, roots_mod
+from .residues import _rho_primes, roots_mod
 
 ENUMERATION_LIMIT = 10**7
 _ROOT_SET_CAP = 10**6
@@ -70,7 +70,10 @@ def enumerate_dset(k: int, limit: int) -> np.ndarray:
     Sieve-style: for each prime, find the largest exponent E with
     x^3 + k solvable mod p^E inside the limit, then strike all multiples of
     p^(E+1). A modulus survives iff each of its prime-power parts is
-    solvable. Primes above sqrt(limit) need only the root count rule.
+    solvable. Primes up to sqrt(limit) find their roots by scan and lift
+    them. Primes above it need only the root count rule, taken over all of
+    them at once by _rho_primes; the rootless ones are struck one
+    multiplier m at a time, m * p for every such p with m * p <= limit.
     """
     if limit < 1:
         raise DomainError(f"limit {limit} must be >= 1")
@@ -78,22 +81,27 @@ def enumerate_dset(k: int, limit: int) -> np.ndarray:
         raise ResourceError(f"limit {limit} exceeds enumeration budget {ENUMERATION_LIMIT}")
     ok = np.ones(limit + 1, dtype=bool)
     ok[0] = False
-    boundary = math.isqrt(limit)
-    for p in map(int, primes_up_to(limit)):
-        if p <= boundary:
-            roots = roots_mod(k, p)
-            if not roots:
-                ok[p::p] = False
-                continue
-            q, j = p * p, 1
-            while q <= limit:
-                roots = _lift_once(k, roots, p, j)
-                if not roots:
-                    ok[q::q] = False
-                    break
-                q, j = q * p, j + 1
-        elif _rho_prime(k, p) == 0:
+    primes = primes_up_to(limit)
+    split = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
+    for p in map(int, primes[:split]):
+        roots = roots_mod(k, p)
+        if not roots:
             ok[p::p] = False
+            continue
+        q, j = p * p, 1
+        while q <= limit:
+            roots = _lift_once(k, roots, p, j)
+            if not roots:
+                ok[q::q] = False
+                break
+            q, j = q * p, j + 1
+    large = primes[split:]
+    bad = large[_rho_primes(k, large) == 0]
+    m = 1
+    while bad.size:
+        ok[m * bad] = False
+        m += 1
+        bad = bad[: np.searchsorted(bad, limit // m, side="right")]
     return np.flatnonzero(ok)
 
 

@@ -4,6 +4,12 @@ Two independent classification routes for a prime p = 1 mod 3 live here:
 the Euler power test a^((p-1)/3) mod p, and representability by one of the
 binary quadratic forms u^2 + 27v^2 / 4u^2 + 2uv + 7v^2. gauss_classify runs
 both and refuses to return if they ever disagree.
+
+The Euler test, and with it the root count rho_p of x^3 + k mod p, has two
+forms: _rho_prime takes one prime with Python's pow and is the reference
+route for every single-prime caller; _rho_primes takes an int64 array of
+primes in one square-and-multiply pass, for enumerate_dset and
+singular_series, and is tested against _rho_prime.
 """
 
 from __future__ import annotations
@@ -216,6 +222,36 @@ def _rho_prime(k: int, p: int) -> int:
     if k % p == 0 or p % 3 != 1:
         return 1
     return 3 if is_cube_mod(-k, p) else 0
+
+
+_LIMB_BITS = 30  # a residue below p < 2^30 shifted by one limb stays below 2^61
+
+
+def _rho_primes(k: int, primes: np.ndarray) -> np.ndarray:
+    """_rho_prime over an int64 array of primes <= SIEVE_LIMIT_MAX, as an
+    int8 array: 1 where p | k or p != 1 mod 3, else 3 or 0 by Euler's test.
+
+    The test is taken on |k|: -1 = (-1)^3 is a cube, so -k is a cube mod p
+    iff |k| is. |k| mod p is reduced by Horner's rule over its 30-bit
+    limbs, so k may be any Python int. Every product is of two residues
+    below p <= 10^9, so p^2 < 2^63 keeps the int64 arithmetic exact.
+    """
+    p = np.asarray(primes, dtype=np.int64)
+    n, mask = abs(k), (1 << _LIMB_BITS) - 1
+    a = np.zeros_like(p)
+    for shift in range((n.bit_length() - 1) // _LIMB_BITS * _LIMB_BITS, -1, -_LIMB_BITS):
+        a = ((a << _LIMB_BITS) + (n >> shift & mask)) % p
+    rho = np.ones(p.shape, dtype=np.int8)
+    split = np.flatnonzero((p % 3 == 1) & (a != 0))
+    q, base = p[split], a[split]
+    e = (q - 1) // 3
+    power = np.ones_like(q)
+    while e.any():
+        power = np.where(e & 1, power * base % q, power)
+        base = base * base % q
+        e >>= 1
+    rho[split] = np.where(power == 1, 3, 0)
+    return rho
 
 
 def chi(k: int, p: int) -> float:

@@ -81,7 +81,8 @@ def dirichlet_partial_sum(
     members = members[keep]
     mu = mu[keep].astype(np.float64)
     vals = np.asarray(members, dtype=np.float64)
-    terms = mu * np.log(vals) / vals**s
+    with np.errstate(over="ignore"):  # n^s = inf makes the term 0, as it should
+        terms = mu * np.log(vals) / vals**s
     running = np.cumsum(terms)
     out = []
     for cp in checkpoints:
@@ -179,7 +180,14 @@ def representation_counts(form: QuadraticForm, n_max: int) -> np.ndarray:
 
 def epstein_mu_sum(form: QuadraticForm, s: float, n_max: int) -> float:
     """sum over n <= n_max of mu(n) r(n) / n^s (finite s >= 1); empty when
-    n_max = 0."""
+    n_max = 0.
+
+    Only n = 1 and the n with mu(n) r(n) != 0 are added, in ascending n, by
+    one left-to-right np.cumsum. The n = 1 term r(1) is +0.0 or positive, so
+    no partial sum is -0.0, and adding a dropped +-0.0 term would leave it
+    unchanged: the value is bit-identical to a cumulative sum over every
+    n <= n_max.
+    """
     if not math.isfinite(s):
         raise DomainError(f"s = {s} is not finite")
     if s < 1:
@@ -189,8 +197,10 @@ def epstein_mu_sum(form: QuadraticForm, s: float, n_max: int) -> float:
     if n_max == 0:
         return 0.0
     counts = representation_counts(form, n_max)
-    mu = sieve_range(max(n_max, 2)).mu[: n_max + 1].astype(np.float64)
-    ns = np.arange(n_max + 1, dtype=np.float64)
-    ns[0] = 1.0
-    terms = mu * counts / ns**s
-    return float(np.cumsum(terms[1:])[-1])
+    mu = sieve_range(max(n_max, 2)).mu[: n_max + 1]
+    keep = (mu != 0) & (counts != 0)
+    keep[1] = True
+    ns = np.flatnonzero(keep)
+    with np.errstate(over="ignore"):  # n^s = inf makes the term 0, as it should
+        terms = mu[ns].astype(np.float64) * counts[ns] / ns.astype(np.float64) ** s
+    return float(np.cumsum(terms)[-1])

@@ -328,3 +328,20 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__
+
+
+@pytest.mark.parametrize("argv", [
+    ["dseries", "--k", "2", "--x", "100", "--s", "400"],
+    ["epstein", "--form", "1,0,27", "--s", "400", "--mu", "--x", "100"],
+])
+def test_large_s_raises_no_overflow_warning(argv):
+    # n^400 overflows to inf, which makes the term 0 as it should; under
+    # -W error a numpy overflow warning would become a traceback and exit 1
+    def body(*flags):
+        proc = subprocess.run([sys.executable, *flags, "-m", "cubicprimes.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        return body_lines(proc.stdout)
+
+    assert body("-W", "error") == body()

@@ -39,6 +39,7 @@ from cubicprimes.counting import (
     _prime_power_base,
     _walk,
 )
+from cubicprimes.residues import _rho_prime
 
 POWER1 = Weight("power", 1)
 
@@ -172,6 +173,17 @@ class TestSingularSeries:
     def test_cube_shift_is_refused(self, k):
         with pytest.raises(DomainError):
             singular_series(k, 100)
+
+    @pytest.mark.parametrize("k", [2, 54, -54, 250, -128])
+    def test_bit_equal_to_scalar_left_to_right_product(self, k):
+        primes = primes_up_to(2 * 10**6).tolist()
+        for cutoff in (0, 2, 13, 10**4, 10**6, 2 * 10**6):
+            out = 1.0
+            for p in primes:
+                if p > cutoff:
+                    break
+                out *= 1 - (_rho_prime(k, p) - 1) / (p - 1)
+            assert singular_series(k, cutoff) == out, cutoff
 
     def test_factors_only_at_one_mod_three(self):
         # primes 2, 3, 5 contribute nothing; the value is flat until p = 7

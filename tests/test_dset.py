@@ -11,8 +11,12 @@ from cubicprimes import (
     enumerate_dset,
     in_dset,
     members_and_mobius,
+    primes_up_to,
     rho_bruteforce,
 )
+from cubicprimes.residues import _rho_prime
+
+SHIFTS = [2, -2, 7, 17, 54, 250, -128]
 
 MEMBERS_300 = enumerate_dset(2, 300).tolist()
 
@@ -81,6 +85,23 @@ class TestEnumeration:
         members = set(enumerate_dset(2, 400))
         for d in range(1, 401):
             assert (d in members) == in_dset(2, d)
+
+    @pytest.mark.parametrize("k", SHIFTS)
+    def test_matches_membership_to_2e4(self, k):
+        limit = 2 * 10**4
+        assert enumerate_dset(k, limit).tolist() == [
+            d for d in range(1, limit + 1) if in_dset(k, d)]
+
+    @pytest.mark.parametrize("k", SHIFTS)
+    def test_limits_around_a_rootless_prime_square(self, k):
+        # p <= sqrt(limit) is scanned and lifted, p > sqrt(limit) takes the
+        # array rule; p^2 - 1, p^2 and p^2 + 1 put p on either side
+        p = max(p for p in primes_up_to(130).tolist() if _rho_prime(k, p) == 0)
+        assert p > 60
+        members = [d for d in range(1, p * p + 2) if in_dset(k, d)]
+        for limit in (p * p - 1, p * p, p * p + 1):
+            assert enumerate_dset(k, limit).tolist() == [
+                d for d in members if d <= limit], limit
 
     def test_budget_guards(self):
         with pytest.raises(ResourceError):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from cubicprimes import (
     rho_prime,
     roots_mod,
 )
-from cubicprimes.residues import _rho_prime, represent_by_form
+from cubicprimes.residues import _rho_prime, _rho_primes, represent_by_form
 
 
 def primes_one_mod_three(tables, lo, hi):
@@ -271,3 +272,48 @@ class TestRho:
         for r in roots_mod(2, m):
             assert (r**3 + 2) % m == 0
             assert 0 <= r < m
+
+
+def primes_below(n, count):
+    """The last `count` primes below n, ascending, by scalar is_prime."""
+    out = []
+    v = n - 1
+    while len(out) < count:
+        if is_prime(v):
+            out.append(v)
+        v -= 1
+    return np.array(out[::-1], dtype=np.int64)
+
+
+class TestRhoPrimes:
+    """The array root-count rule against the scalar _rho_prime."""
+
+    PRIMES = primes_up_to(200_000)
+    BELOW_1E8 = primes_below(10**8, 2000)
+    BELOW_1E9 = primes_below(10**9, 12)  # p^2 is within a factor 10 of 2^63
+
+    def check(self, k, primes):
+        got = _rho_primes(k, primes)
+        assert got.dtype == np.int8
+        assert got.tolist() == [_rho_prime(k, p) for p in primes.tolist()]
+
+    @pytest.mark.parametrize("k", [2, -2, 54, -54, 250, -128, 0, 8, 2 * 3 * 5 * 7])
+    def test_matches_scalar_rule(self, k):
+        self.check(k, self.PRIMES)
+
+    @pytest.mark.parametrize("k", [2**63 + 1, -(2**63 + 3), 2**64 + 5, -(2**70 + 3),
+                                   10**30 + 7])
+    def test_shifts_beyond_int64(self, k):
+        self.check(k, self.PRIMES)
+
+    @pytest.mark.parametrize("k", [2, -2, 2**64 + 5, -(2**70 + 3)])
+    def test_last_primes_below_1e8(self, k):
+        self.check(k, self.BELOW_1E8)
+
+    @pytest.mark.parametrize("k", [2, -2, 54, -128, 2**64 + 5, -(2**70 + 3)])
+    def test_primes_just_below_1e9(self, k):
+        assert np.any(self.BELOW_1E9 % 3 == 1)
+        self.check(k, self.BELOW_1E9)
+
+    def test_empty(self):
+        assert _rho_primes(2, np.empty(0, dtype=np.int64)).size == 0

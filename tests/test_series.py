@@ -15,6 +15,7 @@ from cubicprimes import (
     epstein_zeta_partial,
     kappa_trajectory,
     representation_counts,
+    sieve_range,
 )
 
 SQUARES = QuadraticForm(1, 0, 1)
@@ -164,6 +165,24 @@ class TestRepresentationCounts:
             assert counts[0] == 0
             for n in range(1, 201):
                 assert counts[n] == epstein_r(form, n)
+
+
+class TestEpsteinMuSumNonzeroTerms:
+    """The nonzero-term sum against a cumulative sum over every n."""
+
+    @pytest.mark.parametrize("form", [RESIDUE, NONRESIDUE])
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 400.0])
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 10, 97, 10**4, 10**5])
+    def test_mu_sum_bit_equal_to_full_length_cumsum(self, form, s, n_max):
+        # compared by hex so that -0.0 != +0.0: at s = 400, n^s overflows
+        # from n = 6 on and every later term is a signed zero
+        mu = sieve_range(max(n_max, 2)).mu[: n_max + 1].astype(np.float64)
+        ns = np.arange(n_max + 1, dtype=np.float64)
+        ns[0] = 1.0
+        with np.errstate(over="ignore"):
+            terms = mu * representation_counts(form, n_max) / ns**s
+        expected = float(np.cumsum(terms[1:])[-1])
+        assert epstein_mu_sum(form, s, n_max).hex() == expected.hex()
 
 
 class TestEpsteinMuSum:
