@@ -54,6 +54,9 @@ COMMANDS = [
     ["epstein", "--form", "4,2,7", "--s", "1", "--mu", "--x", "1000000"],
     ["constant", "--k", "9223372036854775809", "--checkpoints", "100,10000,1000000"],
     ["dset", "--k", "-36893488147419103235", "--x", "100000"],
+    # a shift far past the float range, where exact integer roots are needed
+    ["constant", "--k", str(10**400 + 1), "--checkpoints", "100,10000,1000000"],
+    ["count", "--k", str(10**400 + 1), "--checkpoints", "1000000,1000000000"],
 ]
 
 
@@ -75,6 +78,9 @@ def main() -> None:
         if proc.returncode != 0:
             sys.exit(f"exit {proc.returncode}: {' '.join(argv)}\n{proc.stderr}")
         name = f"{i:02d}_" + "_".join(a.removeprefix("--").replace(",", "_") for a in argv)
+        # the index keeps names unique; the cap keeps a 401-digit --k under
+        # the file system's name limit
+        name = name[:120]
         (args.outdir / f"{name}.txt").write_text(body(proc.stdout), encoding="utf-8")
         print(f"{name}", flush=True)
 

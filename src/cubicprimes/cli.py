@@ -313,8 +313,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("verify", _cmd_verify, "run a named self-check suite")
     sp.add_argument("--suite", choices=SUITES, required=True)
     sp.add_argument("--scale", choices=("tiny", "full"), default="tiny")
-    sp.add_argument("--nmax", type=int)
-    sp.add_argument("--pmax", type=int)
+    sp.add_argument("--nmax", type=int,
+                    help="bound for lemma2, rho and all, at least 2 (rho alone: 1); "
+                         "other suites refuse it")
+    sp.add_argument("--pmax", type=int,
+                    help="bound for lemma3 and all, at least 7; other suites refuse it")
     sp.add_argument("--sample-seed", type=int, default=0)
     sp.add_argument("--k", type=int, default=2)
 

@@ -142,12 +142,8 @@ def _prescreen(k: int, bound: int) -> tuple[tuple[int, tuple[int, ...], int], ..
     for p in primes_up_to(bound):
         p = int(p)
         roots = roots_mod(k, p)
-        if not roots:
-            continue
-        t = integer_root(max(p - k, 0), 3)
-        while t**3 + k <= p:
-            t += 1
-        out.append((p, tuple(roots), t))
+        if roots:
+            out.append((p, tuple(roots), _first_index_at_least(k, p + 1)))
     return tuple(out)
 
 

@@ -166,15 +166,21 @@ def epstein_zeta_partial(form: QuadraticForm, s: float, n_max: int) -> float:
 
 
 def representation_counts(form: QuadraticForm, n_max: int) -> np.ndarray:
-    """r(n) for all n <= n_max in one lattice sweep; index 0 unused."""
+    """r(n) for all n <= n_max in one lattice sweep, as int32; index 0
+    unused.
+
+    r(n) is a small multiple of the divisor count of n, far below 2^31, so
+    int32 holds it at half the bytes of int64. The increment is an
+    np.int32 too: a plain Python 1 takes np.add.at off its fast path.
+    """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     if n_max > EPSTEIN_BUDGET:
         raise ResourceError(f"n_max {n_max} exceeds budget {EPSTEIN_BUDGET}")
-    counts = np.zeros(n_max + 1, dtype=np.int64)
+    counts = np.zeros(n_max + 1, dtype=np.int32)
     for _, q in _lattice_rows(form, n_max):
         if q.size:
-            np.add.at(counts, q, 1)
+            np.add.at(counts, q, np.int32(1))
     return counts
 
 

@@ -56,12 +56,26 @@ def _check_budget(what: str, value: int, budget: int) -> None:
         raise ResourceError(f"{what} = {value} exceeds budget {budget}")
 
 
+def _check_floor(what: str, value: int, least: int) -> None:
+    """A bound below least leaves the check no instance, so its PASS would
+    say nothing."""
+    if value < least:
+        raise DomainError(f"{what} = {value} leaves no instance to check; it must be >= {least}")
+
+
+def _check_reads(suite: str, bound: str, readers: tuple[str, ...]) -> None:
+    if suite not in (*readers, "all"):
+        raise DomainError(
+            f"suite {suite!r} reads no {bound} bound; only {', '.join(readers)} and all do")
+
+
 def _close(a: float, b: float, rel: float) -> bool:
     return math.isclose(a, b, rel_tol=rel, abs_tol=1e-12)
 
 
 def mangoldt_identity(n_max: int) -> CheckResult:
     """von_mangoldt equals the explicit divisor-route evaluation on 1..n_max."""
+    _check_floor("n_max", n_max, 1)
     _check_budget("n_max", n_max, MANGOLDT_BUDGET)
     for n in range(1, n_max + 1):
         direct = von_mangoldt(n)
@@ -76,6 +90,7 @@ def mangoldt_identity(n_max: int) -> CheckResult:
 
 def mangoldt_divisor_sum(n_max: int) -> CheckResult:
     """sum of Lambda over divisors reproduces log n on 2..n_max (sieved)."""
+    _check_floor("n_max", n_max, 2)
     _check_budget("n_max", n_max, DIVISOR_SUM_BUDGET)
     acc = np.zeros(n_max + 1)
     for p in primes_up_to(n_max):
@@ -99,6 +114,7 @@ def gauss_euler_split(p_max: int) -> CheckResult:
     """Every prime p = 1 mod 3 up to p_max is represented by exactly one of
     the two forms, agreeing with the Euler criterion on 2; witnesses are
     re-evaluated."""
+    _check_floor("p_max", p_max, 7)
     _check_budget("p_max", p_max, GAUSS_BUDGET)
     counts = {Branch.RESIDUE_FORM: 0, Branch.NONRESIDUE_FORM: 0}
     for p in primes_up_to(p_max):
@@ -128,6 +144,7 @@ def gauss_euler_split(p_max: int) -> CheckResult:
 def rho_against_scan(q_max: int, k: int = 2) -> CheckResult:
     """Multiplicative rho equals the linear-scan count on every squarefree
     q <= q_max."""
+    _check_floor("q_max", q_max, 1)
     _check_budget("q_max", q_max, RHO_SCAN_BUDGET)
     tables = sieve_range(max(q_max, 2))
     checked = 0
@@ -207,20 +224,31 @@ def progression_checks(trials: int, seed: int, q_max: int, x_max: int,
 def run_suite(suite: str, scale: str = "tiny", *, n_max: int | None = None,
               p_max: int | None = None, sample_seed: int = 0,
               k: int = 2) -> list[CheckResult]:
-    """Run one named suite (or all of them) and return its check results."""
+    """Run one named suite (or all of them) and return its check results.
+
+    n_max, when given, replaces the scale's bounds of lemma2 (both checks)
+    and rho, and p_max that of lemma3; a suite that reads neither bound
+    refuses it with DomainError.
+    """
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
     if scale not in _BOUNDS:
         raise DomainError(f"unknown scale {scale!r}")
-    b = _BOUNDS[scale]
+    b = dict(_BOUNDS[scale])
+    if n_max is not None:
+        _check_reads(suite, "n_max (--nmax)", ("lemma2", "rho"))
+        b.update(mangoldt_n=n_max, divisor_n=n_max, rho_q=n_max)
+    if p_max is not None:
+        _check_reads(suite, "p_max (--pmax)", ("lemma3",))
+        b.update(gauss_p=p_max)
     out: list[CheckResult] = []
     if suite in ("lemma2", "all"):
-        out.append(mangoldt_identity(n_max or b["mangoldt_n"]))
-        out.append(mangoldt_divisor_sum(n_max or b["divisor_n"]))
+        out.append(mangoldt_identity(b["mangoldt_n"]))
+        out.append(mangoldt_divisor_sum(b["divisor_n"]))
     if suite in ("lemma3", "all"):
-        out.append(gauss_euler_split(p_max or b["gauss_p"]))
+        out.append(gauss_euler_split(b["gauss_p"]))
     if suite in ("rho", "all"):
-        out.append(rho_against_scan(n_max or b["rho_q"], k))
+        out.append(rho_against_scan(b["rho_q"], k))
     if suite in ("eq3", "all"):
         out.extend(lambda_identity(b["eq3_x"], k))
     if suite in ("lemma4", "all"):

@@ -94,6 +94,14 @@ class TestVonMangoldt:
     def test_two_routes_agree(self, n):
         assert von_mangoldt_via_mobius(n) == pytest.approx(von_mangoldt(n), rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [
+        2**40,  # 41 divisors, one squarefree d > 1
+        6469693230,  # the product of the first ten primes: 1,023 subsets
+        2**3 * 3**4 * 5**2 * 7,
+    ])
+    def test_two_routes_agree_on_wide_factorizations(self, n):
+        assert von_mangoldt_via_mobius(n) == pytest.approx(von_mangoldt(n), rel=1e-9, abs=1e-12)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             von_mangoldt(0)
@@ -304,6 +312,26 @@ class TestIntegerRoots:
     def test_general_root_floor_property(self, n, k):
         r = integer_root(n, k)
         assert r**k <= n < (r + 1) ** k
+
+    @pytest.mark.parametrize("k", [3, 5, 7, 63])
+    @pytest.mark.parametrize("n", [10**400 + 1, 2**5000 - 1, 3**3000],
+                             ids=["10^400+1", "2^5000-1", "3^3000"])
+    def test_beyond_float_range(self, n, k):
+        r = integer_root(n, k)
+        assert r**k <= n < (r + 1) ** k
+
+    @given(st.integers(0, 2**5000), st.integers(3, 70))
+    @settings(max_examples=300)
+    def test_big_int_floor_property(self, n, k):
+        r = integer_root(n, k)
+        assert r**k <= n < (r + 1) ** k
+
+    @pytest.mark.parametrize("k", [3, 5, 13, 63])
+    def test_next_to_exact_powers(self, k):
+        for b in (2, 3, 10**6 + 3, 2**40 + 1, 3**50):
+            for n in (b**k - 1, b**k, b**k + 1):
+                r = integer_root(n, k)
+                assert r**k <= n < (r + 1) ** k, (b, n)
 
 
 class TestArithmeticWeights:

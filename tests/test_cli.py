@@ -4,7 +4,15 @@ import sys
 
 import pytest
 
-from cubicprimes import ConsistencyError, ResourceError, __version__, cli, dset, verify
+from cubicprimes import (
+    ConsistencyError,
+    DomainError,
+    ResourceError,
+    __version__,
+    cli,
+    dset,
+    verify,
+)
 from cubicprimes.counting import SERIES_BUDGET
 from cubicprimes.series import dirichlet_partial_sum, kappa_trajectory
 from cubicprimes.verify import CheckResult
@@ -121,6 +129,16 @@ class TestExitCodes:
         assert cli.run(["verify", *argv]) == 3
         captured = capsys.readouterr()
         assert "budget" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("check,bound", [
+        (verify.mangoldt_identity, 0),
+        (verify.mangoldt_divisor_sum, 1),
+        (verify.gauss_euler_split, 6),
+        (verify.rho_against_scan, 0),
+    ])
+    def test_bound_with_no_instance_is_refused(self, check, bound):
+        with pytest.raises(DomainError, match="no instance"):
+            check(bound)
 
     def test_divisor_sum_budget(self):
         # lemma2's --nmax reaches the identity check's smaller budget first
@@ -345,3 +363,48 @@ def test_large_s_raises_no_overflow_warning(argv):
         return body_lines(proc.stdout)
 
     assert body("-W", "error") == body()
+
+
+HUGE_K = str(10**400 + 1)  # a non-cube shift far past the float range
+
+
+EDGE_ARGVS = [
+    (["constant", "--k", HUGE_K, "--pmax", "100"], 0),
+    (["count", "--k", HUGE_K, "--x", "1000"], 0),
+    (["chebyshev", "--k", HUGE_K, "--x", "1000"], 0),
+    (["tail", "--k", HUGE_K, "--x", "1000"], 0),
+    (["verify", "--suite", "eq3", "--k", HUGE_K], 0),
+    # an explicit bound is used as given, down to the smallest with an instance
+    (["verify", "--suite", "lemma2", "--nmax", "2"], 0),
+    (["verify", "--suite", "rho", "--nmax", "1"], 0),
+    (["verify", "--suite", "lemma3", "--pmax", "7"], 0),
+    (["verify", "--suite", "lemma2", "--nmax", "0"], 2),
+    (["verify", "--suite", "lemma2", "--nmax", "1"], 2),
+    (["verify", "--suite", "lemma2", "--nmax", "-5"], 2),
+    (["verify", "--suite", "rho", "--nmax", "-3"], 2),
+    (["verify", "--suite", "lemma3", "--pmax", "0"], 2),
+    (["verify", "--suite", "lemma3", "--pmax", "5"], 2),
+    (["verify", "--suite", "lemma3", "--pmax", "-7"], 2),
+    (["verify", "--suite", "all", "--nmax", "0"], 2),
+    # a bound the suite never reads
+    (["verify", "--suite", "eq3", "--nmax", "5"], 2),
+    (["verify", "--suite", "lemma2", "--pmax", "5"], 2),
+    (["verify", "--suite", "lemma4", "--pmax", "5"], 2),
+    (["rho", "--k", "2", "--q", "0"], 2),
+    (["epstein", "--form", "0,0,0", "--s", "2", "--x", "100"], 2),
+    (["lemma4", "--q", "0", "--a", "1", "--x", "10"], 2),
+    (["dset", "--k", "2", "--x", "0"], 2),
+    (["count", "--k", "2", "--x", "7"], 2),
+    (["chebyshev", "--k", "2", "--x", str(2**64)], 3),
+]
+
+
+@pytest.mark.parametrize("argv,code", EDGE_ARGVS, ids=[
+    " ".join(argv).replace(HUGE_K, "10^400+1") for argv, _ in EDGE_ARGVS])
+def test_edge_argv_exits_without_traceback(argv, code):
+    proc = subprocess.run([sys.executable, "-m", "cubicprimes.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert proc.stderr.startswith("error:") and proc.stdout == ""

@@ -174,7 +174,7 @@ class TestSingularSeries:
         with pytest.raises(DomainError):
             singular_series(k, 100)
 
-    @pytest.mark.parametrize("k", [2, 54, -54, 250, -128])
+    @pytest.mark.parametrize("k", [2, 54, -54, 250, -128, pytest.param(10**400 + 1, id="10^400+1")])
     def test_bit_equal_to_scalar_left_to_right_product(self, k):
         primes = primes_up_to(2 * 10**6).tolist()
         for cutoff in (0, 2, 13, 10**4, 10**6, 2 * 10**6):
@@ -422,6 +422,19 @@ class TestSegmentedWalk:
         rec = weighted_lambda_sum(k, POWER1, x)
         assert (rec.value, rec.tail_value) == reference_weighted_sum(k, POWER1, x)
         assert prime_power_tail(k, [x])[0][0] == reference_tail(k, x)
+
+    @pytest.mark.parametrize("k", [2, -2, 54, 250, -128, 2**62 + 1])
+    def test_alive_matches_its_definition(self, k):
+        # n is struck iff a sieve prime p divides v = n^3 + k and v > p; for
+        # k = 54 that strikes n = -3 (v = 27) and n = -2 (v = 46)
+        primes = primes_up_to(1000).tolist()
+        prescreen = _prescreen(k, 1000)
+        for lo, hi in ((-60, 60), (min_index(k) - 20, min_index(k) + 300)):
+            alive = _alive(lo, hi, prescreen)
+            for n in range(lo, hi + 1):
+                v = n**3 + k
+                struck = any(v % p == 0 and v > p for p in primes)
+                assert alive[n - lo] == (not struck), n
 
     def test_power_of_a_prescreen_prime_is_found(self):
         # 3^3 - 2 = 5^2: the progression sieve strikes n = 3 (5 divides 25),

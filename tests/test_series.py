@@ -162,6 +162,7 @@ class TestRepresentationCounts:
     def test_matches_per_n_oracle(self):
         for form in (SQUARES, RESIDUE, NONRESIDUE):
             counts = representation_counts(form, 200)
+            assert counts.dtype == np.int32
             assert counts[0] == 0
             for n in range(1, 201):
                 assert counts[n] == epstein_r(form, n)
