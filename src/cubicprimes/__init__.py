@@ -27,7 +27,6 @@ from .counting import (
     lambda_sum_rhs,
     max_index,
     min_index,
-    predicted_count,
     prime_power_tail,
     progression_weighted_sum,
     singular_series,
@@ -54,13 +53,11 @@ from .residues import (
     CubicTag,
     PrimeClass,
     QuadraticForm,
-    chi,
     cubic_residue_euler,
     gauss_classify,
     primitive_cube_root,
     rho,
     rho_bruteforce,
-    rho_prime,
     roots_mod,
 )
 from .series import (
@@ -82,15 +79,13 @@ __all__ = [
     "von_mangoldt_via_mobius",
     "CountRecord", "ProgressionSum", "Weight", "WeightedSumRecord",
     "count_cubic_primes", "count_table", "enumerate_cubic_primes",
-    "lambda_sum_rhs", "max_index", "min_index", "predicted_count",
-    "prime_power_tail", "progression_weighted_sum", "singular_series",
-    "weighted_lambda_sum",
+    "lambda_sum_rhs", "max_index", "min_index", "prime_power_tail",
+    "progression_weighted_sum", "singular_series", "weighted_lambda_sum",
     "DsetStats", "dset_density", "enumerate_dset", "in_dset", "members_and_mobius",
     "CapacityError", "ConsistencyError", "DomainError", "ResourceError",
     "NONRESIDUE_FORM", "RESIDUE_FORM", "Branch", "CubicClass", "CubicTag",
-    "PrimeClass", "QuadraticForm", "chi", "cubic_residue_euler",
-    "gauss_classify", "primitive_cube_root", "rho", "rho_bruteforce",
-    "rho_prime", "roots_mod",
+    "PrimeClass", "QuadraticForm", "cubic_residue_euler", "gauss_classify",
+    "primitive_cube_root", "rho", "rho_bruteforce", "roots_mod",
     "KappaTrajectory", "PartialSumRecord", "dirichlet_partial_sum",
     "epstein_mu_sum", "epstein_r", "epstein_zeta_partial", "kappa_trajectory",
     "representation_counts",

@@ -320,13 +320,6 @@ def singular_series(k: int, p_cutoff: int) -> float:
     return out
 
 
-def predicted_count(k: int, x: int, p_cutoff: int) -> float:
-    """Conjectured main term: singular_series * x^(1/3) / log x, x >= 8."""
-    if x < 8:
-        raise DomainError(f"x = {x} below 8; the main term x^(1/3)/log x needs log x > 1")
-    return singular_series(k, p_cutoff) * _main_term(x)
-
-
 def _main_term(x: int) -> float:
     return float(x) ** (1.0 / 3.0) / math.log(x)
 

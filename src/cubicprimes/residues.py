@@ -3,13 +3,17 @@
 Two independent classification routes for a prime p = 1 mod 3 live here:
 the Euler power test a^((p-1)/3) mod p, and representability by one of the
 binary quadratic forms u^2 + 27v^2 / 4u^2 + 2uv + 7v^2. gauss_classify runs
-both and refuses to return if they ever disagree.
+both on one prime, with a form search that finds a witness (u, v), and
+refuses to return if they ever disagree; the residue command prints it. The
+form-split check of the verify suite takes the form route for all primes up
+to a bound at once, from one lattice sweep per form (series._lattice_rows),
+and is tested against gauss_classify.
 
 The Euler test, and with it the root count rho_p of x^3 + k mod p, has two
 forms: _rho_prime takes one prime with Python's pow and is the reference
 route for every single-prime caller; _rho_primes takes an int64 array of
-primes in one square-and-multiply pass, for enumerate_dset and
-singular_series, and is tested against _rho_prime.
+primes in one square-and-multiply pass, for enumerate_dset, singular_series
+and the form-split check, and is tested against _rho_prime.
 """
 
 from __future__ import annotations
@@ -252,24 +256,6 @@ def _rho_primes(k: int, primes: np.ndarray) -> np.ndarray:
         e >>= 1
     rho[split] = np.where(power == 1, 3, 0)
     return rho
-
-
-def chi(k: int, p: int) -> float:
-    """Series factor for the x^3 + k family at p = 1 mod 3: +1 when -k is a
-    cube mod p, else -1/2."""
-    if not is_prime(p) or p % 3 != 1:
-        raise DomainError(f"{p} must be a prime = 1 mod 3")
-    if k % p == 0:
-        raise DomainError(f"chi undefined when p = {p} divides k = {k}")
-    return 1.0 if _rho_prime(k, p) == 3 else -0.5
-
-
-def rho_prime(k: int, p: int) -> int:
-    """Number of roots of x^3 + k = 0 mod prime p, by _rho_prime once p
-    is checked to be prime."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    return _rho_prime(k, p)
 
 
 def rho(k: int, q: int) -> int:

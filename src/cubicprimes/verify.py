@@ -22,8 +22,17 @@ from .arith import (
     von_mangoldt_via_mobius,
 )
 from .counting import Weight, lambda_sum_rhs, progression_weighted_sum, weighted_lambda_sum
-from .errors import ConsistencyError, DomainError, ResourceError
-from .residues import Branch, gauss_classify, rho, rho_bruteforce, roots_mod
+from .errors import DomainError, ResourceError
+from .residues import (
+    NONRESIDUE_FORM,
+    RESIDUE_FORM,
+    QuadraticForm,
+    _rho_primes,
+    rho,
+    rho_bruteforce,
+    roots_mod,
+)
+from .series import _lattice_rows
 
 SUITES = ("lemma2", "lemma3", "lemma4", "rho", "eq3", "all")
 
@@ -31,7 +40,7 @@ SUITES = ("lemma2", "lemma3", "lemma4", "rho", "eq3", "all")
 # of at most about 15 s on 2 cores (time and peak RSS in the README)
 MANGOLDT_BUDGET = 2 * 10**5  # one factorize per n, linear
 DIVISOR_SUM_BUDGET = 10**7  # float64 arrays of n_max entries
-GAUSS_BUDGET = 2 * 10**6  # two form searches per prime = 1 mod 3
+GAUSS_BUDGET = 10**8  # a 1 B flag per entry per form, plus the prime sieve
 RHO_SCAN_BUDGET = 4 * 10**4  # one linear scan per squarefree q, quadratic
 
 # full-scale bounds match the documented acceptance levels; tiny keeps the
@@ -110,42 +119,52 @@ def mangoldt_divisor_sum(n_max: int) -> CheckResult:
                        f"divisor sums match log n to 1e-9 for n <= {n_max}")
 
 
+def _form_values(form: QuadraticForm, n_max: int) -> np.ndarray:
+    """A bool array over 0..n_max, True at every value the form takes."""
+    flags = np.zeros(n_max + 1, dtype=bool)
+    for _, q in _lattice_rows(form, n_max):
+        flags[q] = True
+    return flags
+
+
 def gauss_euler_split(p_max: int) -> CheckResult:
     """Every prime p = 1 mod 3 up to p_max is represented by exactly one of
-    the two forms, agreeing with the Euler criterion on 2; witnesses are
-    re-evaluated."""
+    the two forms, u^2 + 27v^2 exactly when Euler's test says 2 is a cube
+    mod p.
+
+    Each form's values up to p_max are flagged by one lattice sweep, whose
+    rows are exact form evaluations, and the flags are read at the primes;
+    Euler's test runs over the same prime array.
+    """
     _check_floor("p_max", p_max, 7)
     _check_budget("p_max", p_max, GAUSS_BUDGET)
-    counts = {Branch.RESIDUE_FORM: 0, Branch.NONRESIDUE_FORM: 0}
-    for p in primes_up_to(p_max):
-        p = int(p)
-        if p % 3 != 1:
-            continue
-        try:
-            cls = gauss_classify(p)
-        except ConsistencyError as e:
-            return CheckResult("gauss-euler-split", False, f"p={p}: {e}")
-        u, v = cls.witness
-        if cls.branch is Branch.RESIDUE_FORM:
-            value = u * u + 27 * v * v
+    primes = primes_up_to(p_max)
+    primes = primes[primes % 3 == 1]
+    residue, nonresidue = (_form_values(form, p_max)[primes]
+                           for form in (RESIDUE_FORM, NONRESIDUE_FORM))
+    cube = _rho_primes(-2, primes) == 3
+    bad = np.flatnonzero((residue == nonresidue) | (residue != cube))
+    if bad.size:
+        i = int(bad[0])
+        if residue[i] == nonresidue[i]:
+            why = f"represented by {'both forms' if residue[i] else 'neither form'}"
         else:
-            value = 4 * u * u + 2 * u * v + 7 * v * v
-        if value != p:
-            return CheckResult("gauss-euler-split", False,
-                               f"p={p}: witness ({u},{v}) evaluates to {value}")
-        counts[cls.branch] += 1
-    total = sum(counts.values())
+            form = RESIDUE_FORM if residue[i] else NONRESIDUE_FORM
+            euler = "a cube" if cube[i] else "not a cube"
+            why = f"represented by {form} only, but Euler says 2 is {euler}"
+        return CheckResult("gauss-euler-split", False, f"p={int(primes[i])}: {why}")
+    n_res = int(np.count_nonzero(residue))
     return CheckResult(
         "gauss-euler-split", True,
-        f"{total} primes = 1 mod 3 below {p_max} split cleanly "
-        f"({counts[Branch.RESIDUE_FORM]} residue / {counts[Branch.NONRESIDUE_FORM]} nonresidue)")
+        f"{primes.size} primes = 1 mod 3 below {p_max} split cleanly "
+        f"({n_res} residue / {primes.size - n_res} nonresidue)")
 
 
 def rho_against_scan(q_max: int, k: int = 2) -> CheckResult:
     """Multiplicative rho equals the linear-scan count on every squarefree
     q <= q_max."""
-    _check_floor("q_max", q_max, 1)
-    _check_budget("q_max", q_max, RHO_SCAN_BUDGET)
+    _check_floor("q_max (--nmax)", q_max, 1)
+    _check_budget("q_max (--nmax)", q_max, RHO_SCAN_BUDGET)
     tables = sieve_range(max(q_max, 2))
     checked = 0
     for q in range(1, q_max + 1):

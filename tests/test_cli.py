@@ -382,6 +382,7 @@ EDGE_ARGVS = [
     (["verify", "--suite", "lemma2", "--nmax", "1"], 2),
     (["verify", "--suite", "lemma2", "--nmax", "-5"], 2),
     (["verify", "--suite", "rho", "--nmax", "-3"], 2),
+    (["verify", "--suite", "rho", "--nmax", str(verify.RHO_SCAN_BUDGET + 1)], 3),
     (["verify", "--suite", "lemma3", "--pmax", "0"], 2),
     (["verify", "--suite", "lemma3", "--pmax", "5"], 2),
     (["verify", "--suite", "lemma3", "--pmax", "-7"], 2),
@@ -399,6 +400,14 @@ EDGE_ARGVS = [
 ]
 
 
+# refusals of a bound whose parameter is named apart from its flag: the
+# message must name the flag that was typed
+NAMES_FLAG = {
+    ("verify", "--suite", "rho", "--nmax", "-3"): "--nmax",
+    ("verify", "--suite", "rho", "--nmax", str(verify.RHO_SCAN_BUDGET + 1)): "--nmax",
+}
+
+
 @pytest.mark.parametrize("argv,code", EDGE_ARGVS, ids=[
     " ".join(argv).replace(HUGE_K, "10^400+1") for argv, _ in EDGE_ARGVS])
 def test_edge_argv_exits_without_traceback(argv, code):
@@ -408,3 +417,4 @@ def test_edge_argv_exits_without_traceback(argv, code):
     assert "Traceback" not in proc.stderr
     if code:
         assert proc.stderr.startswith("error:") and proc.stdout == ""
+    assert NAMES_FLAG.get(tuple(argv), "") in proc.stderr

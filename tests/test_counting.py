@@ -20,7 +20,6 @@ from cubicprimes import (
     lambda_sum_rhs,
     max_index,
     min_index,
-    predicted_count,
     prime_power_tail,
     primes_up_to,
     progression_weighted_sum,
@@ -190,31 +189,32 @@ class TestSingularSeries:
         assert singular_series(2, 6) == 1.0
 
 
-class TestPredictedCount:
+class TestCountTable:
     def test_main_term_identity(self):
-        for x in (8, 1000, 10**9):
-            expected = singular_series(2, 100) * float(x) ** (1 / 3) / math.log(x)
-            assert predicted_count(2, x, 100) == pytest.approx(expected, rel=1e-12)
+        records = count_table(2, [8, 1000, 10**9], 100)
+        for r in records:
+            expected = singular_series(2, 100) * float(r.x) ** (1 / 3) / math.log(r.x)
+            assert r.predicted == pytest.approx(expected, rel=1e-12)
 
     def test_smallest_allowed(self):
-        assert predicted_count(2, 8, 2) == pytest.approx(2 / math.log(8), rel=1e-15)
+        [record] = count_table(2, [8], 2)
+        assert record.predicted == pytest.approx(2 / math.log(8), rel=1e-15)
 
-    def test_domain(self):
+    def test_below_eight_has_no_main_term(self):
         with pytest.raises(DomainError):
-            predicted_count(2, 7, 100)
+            count_table(2, [7], 100)
 
     def test_ratio_order_of_magnitude(self):
-        ratio = count_cubic_primes(2, 10**6) / predicted_count(2, 10**6, 10**4)
-        assert 0.5 <= ratio <= 2.0
+        [record] = count_table(2, [10**6], 10**4)
+        assert record.observed == count_cubic_primes(2, 10**6)
+        assert 0.5 <= record.ratio <= 2.0
 
-
-class TestCountTable:
     def test_single_checkpoint(self):
         records = count_table(2, [130], 100)
         assert len(records) == 1
         assert records[0].observed == 4
-        assert records[0].ratio == pytest.approx(
-            4 / predicted_count(2, 130, 100), rel=1e-12)
+        predicted = singular_series(2, 100) * 130 ** (1 / 3) / math.log(130)
+        assert records[0].ratio == pytest.approx(4 / predicted, rel=1e-12)
 
     def test_empty(self):
         assert count_table(2, [], 100) == []

@@ -11,7 +11,6 @@ from cubicprimes import (
     DomainError,
     QuadraticForm,
     ResourceError,
-    chi,
     cubic_residue_euler,
     factorize,
     gauss_classify,
@@ -20,7 +19,6 @@ from cubicprimes import (
     primitive_cube_root,
     rho,
     rho_bruteforce,
-    rho_prime,
     roots_mod,
 )
 from cubicprimes.residues import _rho_prime, _rho_primes, represent_by_form
@@ -189,24 +187,14 @@ class TestGaussClassification:
                 assert 4 * u * u + 2 * u * v + 7 * v * v == p
 
 
-class TestChi:
-    def test_reference_values(self):
-        assert chi(2, 31) == 1.0
-        assert chi(2, 7) == -0.5
-
-    def test_preconditions(self):
-        with pytest.raises(DomainError):
-            chi(2, 5)
-        with pytest.raises(DomainError):
-            chi(7, 7)
-
-
 class TestRho:
     def test_rho_prime_reference(self):
-        assert rho_prime(2, 3) == 1
-        assert rho_prime(2, 31) == 3
-        assert rho_prime(2, 7) == 0
-        assert rho_prime(2, 2) == 1
+        assert _rho_prime(2, 3) == 1
+        assert _rho_prime(2, 31) == 3  # -2 is a cube mod 31
+        assert _rho_prime(2, 7) == 0  # and not mod 7
+        assert _rho_prime(2, 2) == 1
+        assert _rho_prime(2, 5) == 1  # p = 2 mod 3: the cube map is onto
+        assert _rho_prime(7, 7) == 1  # p | k: only x = 0
 
     @pytest.mark.parametrize("k", [2, -2, 54, -54, 250, -128, 0, 8, 2 * 3 * 5 * 7])
     def test_root_count_rule_matches_scan(self, k):
