@@ -34,6 +34,11 @@ COMMANDS = [
     ["dset", "--k", "54", "--x", "1000000"],
     ["dseries", "--k", "250", "--x", "1000000"],
     ["residue", "--a", "2", "--p", "31"],
+    # every residue branch and class: p = 3, p = 2 mod 3, the nonresidue
+    # form, a nonresidue a with its exponent, and a not coprime to p
+    *(["residue", "--a", "2", "--p", str(p)] for p in (3, 5, 7, 13)),
+    ["residue", "--a", "3", "--p", "7"],
+    ["residue", "--a", "14", "--p", "7"],
     ["lemma4", "--q", "31", "--a", "-2", "--x", "100"],
     ["verify", "--suite", "all", "--scale", "tiny"],
     ["verify", "--suite", "rho", "--scale", "full", "--k", "54"],

@@ -37,7 +37,6 @@ from .dset import (
     dset_density,
     enumerate_dset,
     in_dset,
-    members_and_mobius,
 )
 from .errors import (
     CapacityError,
@@ -81,7 +80,7 @@ __all__ = [
     "count_cubic_primes", "count_table", "enumerate_cubic_primes",
     "lambda_sum_rhs", "max_index", "min_index", "prime_power_tail",
     "progression_weighted_sum", "singular_series", "weighted_lambda_sum",
-    "DsetStats", "dset_density", "enumerate_dset", "in_dset", "members_and_mobius",
+    "DsetStats", "dset_density", "enumerate_dset", "in_dset",
     "CapacityError", "ConsistencyError", "DomainError", "ResourceError",
     "NONRESIDUE_FORM", "RESIDUE_FORM", "Branch", "CubicClass", "CubicTag",
     "PrimeClass", "QuadraticForm", "cubic_residue_euler", "gauss_classify",

@@ -38,16 +38,14 @@ class ArithTables:
     is an int64 array.
     """
 
-    limit: int
     mu: np.ndarray
     primes: np.ndarray
 
 
 @dataclass(frozen=True)
 class Factorization:
-    """n as a sorted tuple of (prime, exponent) pairs."""
+    """A factorization as a sorted tuple of (prime, exponent) pairs."""
 
-    n: int
     factors: tuple[tuple[int, int], ...]
 
     @property
@@ -85,7 +83,7 @@ def sieve_range(limit: int) -> ArithTables:
         mu[m * big] *= -1
         m += 1
         big = big[: int(np.searchsorted(big, limit // m, side="right"))]
-    return ArithTables(limit=limit, mu=mu, primes=primes)
+    return ArithTables(mu=mu, primes=primes)
 
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -160,7 +158,6 @@ class _Montgomery:
             self.ninv *= 2 - n * self.ninv
         self.one = (0 - n) % n
         self.minus_one = n - self.one
-        self.half_n = (n >> 1) + 1  # x / 2 mod n is (x >> 1) + (n + 1) / 2 for odd x
 
     def _redc(self, lo, hi):
         """(hi * 2^64 + lo) / R mod n for a product of two residues.
@@ -196,9 +193,6 @@ class _Montgomery:
     def sub(self, a, b):
         r = a - b
         return np.where(a < b, r + self.n, r)
-
-    def half(self, a):
-        return (a >> 1) + (a & 1) * self.half_n
 
     def small(self, c: np.ndarray) -> np.ndarray:
         """The form of small signed integers c, 0 < |c| < n, by doubling
@@ -297,10 +291,15 @@ def _strong_lucas(n: np.ndarray) -> np.ndarray:
     factor up to 37, with Selfridge's parameters P = 1, Q = (1 - D)/4.
 
     Squares are composite. Otherwise, with n + 1 = d * 2^s and d odd, n
-    passes when U_d = 0 or V_{d*2^r} = 0 mod n for some 0 <= r < s. U_k, V_k
-    and Q^k run up the bits of d in Montgomery form: from k to 2k by
-    U_2k = U_k V_k, V_2k = V_k^2 - 2Q^k, and from k to k + 1 by
-    U = (U_k + V_k)/2, V = (D U_k + V_k)/2.
+    passes when U_d = 0 or V_{d*2^r} = 0 mod n for some 0 <= r < s. A
+    ladder holds (V_k, V_{k+1}, Q^k) in Montgomery form and runs from k = 0
+    up the bits of d. A clear bit takes k to 2k:
+        (V_k^2 - 2Q^k, V_k V_{k+1} - Q^k, (Q^k)^2),
+    and a set bit takes k to 2k + 1:
+        (V_k V_{k+1} - Q^k, V_{k+1}^2 - 2Q^{k+1}, Q^k Q^{k+1}),
+    so each bit costs one square and three products. U_d is never formed:
+    D U_d = 2V_{d+1} - P V_d, and D is a unit mod n when (D/n) = -1, so
+    U_d = 0 exactly when 2V_{d+1} = V_d mod n.
     """
     verdict = np.zeros(n.size, dtype=bool)
     idx = np.flatnonzero(~_is_square(n))
@@ -310,18 +309,17 @@ def _strong_lucas(n: np.ndarray) -> np.ndarray:
         return verdict
     n = n[idx]
     mont = _Montgomery(n)
-    dm, qm = mont.small(D), mont.small((1 - D) // 4)
+    qm = mont.small((1 - D) // 4)
     s, d = _two_adic(n + 1)  # n + 1 < 2^64: 2^64 - 1 is divisible by 3
-    u, v, qk = np.zeros_like(n), mont.add(mont.one, mont.one), mont.one
+    v, v1, qk = mont.add(mont.one, mont.one), mont.one, mont.one
     for bit in range(int(d.max()).bit_length() - 1, -1, -1):
-        u = mont.mul(u, v)
-        v = mont.sub(mont.sqr(v), mont.add(qk, qk))
-        qk = mont.sqr(qk)
         up = (d >> bit) & 1 == 1
-        u, v = (np.where(up, mont.half(mont.add(u, v)), u),
-                np.where(up, mont.half(mont.add(mont.mul(dm, u), v)), v))
-        qk = np.where(up, mont.mul(qk, qm), qk)
-    passed = (u == 0) | (v == 0)
+        cross = mont.sub(mont.mul(v, v1), qk)
+        qa = np.where(up, mont.mul(qk, qm), qk)
+        square = mont.sub(mont.sqr(np.where(up, v1, v)), mont.add(qa, qa))
+        qk = mont.mul(qk, qa)
+        v, v1 = np.where(up, cross, square), np.where(up, square, cross)
+    passed = (mont.add(v1, v1) == v) | (v == 0)
     # V_{d*2^j} for j = 1 .. s - 1, on the values not yet decided
     live = np.flatnonzero(~passed & (s > 1))
     mont, v, qk, s = mont.take(live), v[live], qk[live], s[live]
@@ -432,7 +430,7 @@ def factorize(n: int) -> Factorization:
         d = _pollard_brent(v)
         stack.append(d)
         stack.append(v // d)
-    return Factorization(n=n, factors=tuple(sorted(found.items())))
+    return Factorization(tuple(sorted(found.items())))
 
 
 def von_mangoldt(n: int) -> float:

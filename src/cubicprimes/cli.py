@@ -1,10 +1,11 @@
 """Command line front end.
 
-Every subcommand prints one table, as CSV (default) or JSON. CSV output
-is metadata comment lines starting with '#', then a header line, then
-rows, LF-terminated, with reals at 15 significant digits; the body below
-the metadata block is reproducible byte for byte for a fixed library
-version.
+Every subcommand but verify prints one table, as CSV (default) or JSON.
+CSV output is metadata comment lines starting with '#', then a header
+line, then rows, LF-terminated, with reals at 15 significant digits; the
+body below the metadata block is reproducible byte for byte for a fixed
+library version. verify prints PASS/FAIL lines as text and takes no
+--format.
 
 Exit codes: 0 success, 2 usage or domain error, 3 capacity or resource
 limit, 4 internal cross-check failure. An --out path that cannot be opened
@@ -245,10 +246,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, handler, help_text: str, table: bool = True) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(handler=handler)
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        if table:
+            sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", help="write output to this path instead of stdout")
         return sp
 
@@ -310,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=int)
     sp.add_argument("--checkpoints", type=_int_list)
 
-    sp = add("verify", _cmd_verify, "run a named self-check suite")
+    sp = add("verify", _cmd_verify, "run a named self-check suite", table=False)
     sp.add_argument("--suite", choices=SUITES, required=True)
     sp.add_argument("--scale", choices=("tiny", "full"), default="tiny")
     sp.add_argument("--nmax", type=int,

@@ -129,10 +129,7 @@ def min_index(k: int) -> int:
 
 def max_index(k: int, x: int) -> int:
     """Largest n with n^3 + k <= x."""
-    t = x - k
-    if t >= 0:
-        return integer_root(t, 3)
-    return -(integer_root(-t - 1, 3) + 1)
+    return _first_index_at_least(k, x + 1) - 1
 
 
 @lru_cache(maxsize=8)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factorize, primes_up_to, sieve_range
+from .arith import factorize, primes_up_to
 from .errors import DomainError, ResourceError
 from .residues import _rho_primes, roots_mod
 
@@ -115,7 +115,6 @@ class DsetStats:
     support a fit.
     """
 
-    limit: int
     count: int
     checkpoints: list[tuple[int, int, float]]
     decay_exponent: float | None
@@ -139,16 +138,4 @@ def dset_density(k: int, limit: int, checkpoints: list[int]) -> DsetStats:
         ly = np.log([r for _, r in pts])
         slope = np.polyfit(lx, ly, 1)[0]
         beta = float(-slope)
-    return DsetStats(
-        limit=limit,
-        count=len(members),
-        checkpoints=rows,
-        decay_exponent=beta,
-    )
-
-
-def members_and_mobius(k: int, limit: int):
-    """Solvable moduli <= limit alongside their Mobius values; shared by the
-    series partial sums."""
-    members = enumerate_dset(k, limit)
-    return members, sieve_range(max(limit, 2)).mu[members]
+    return DsetStats(count=len(members), checkpoints=rows, decay_exponent=beta)

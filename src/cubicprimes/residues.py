@@ -116,15 +116,11 @@ class Branch(Enum):
 @dataclass(frozen=True)
 class PrimeClass:
     """A prime classified against the x^3 + 2 family: which local branch it
-    sits on, the form witness when p = 1 mod 3, the local solution count
-    rho_p of x^3 + 2 = 0 mod p, and the series factor chi (None off the
-    p = 1 mod 3 branch)."""
+    sits on, and the form witness when p = 1 mod 3."""
 
     p: int
     branch: Branch
     witness: tuple[int, int] | None
-    rho_p: int
-    chi: float | None
 
 
 def primitive_cube_root(p: int) -> int:
@@ -202,9 +198,9 @@ def gauss_classify(p: int) -> PrimeClass:
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if p == 3:
-        return PrimeClass(p, Branch.THREE, None, 1, None)
+        return PrimeClass(p, Branch.THREE, None)
     if p % 3 == 2:
-        return PrimeClass(p, Branch.TWO_MOD3, None, 1, None)
+        return PrimeClass(p, Branch.TWO_MOD3, None)
     w_res = represent_by_form(RESIDUE_FORM, p)
     w_non = represent_by_form(NONRESIDUE_FORM, p)
     euler_says_residue = is_cube_mod(2, p)
@@ -213,10 +209,10 @@ def gauss_classify(p: int) -> PrimeClass:
     if w_res is not None:
         if not euler_says_residue:
             raise ConsistencyError(f"{p}: u^2+27v^2 representation but Euler says nonresidue")
-        return PrimeClass(p, Branch.RESIDUE_FORM, w_res, 3, 1.0)
+        return PrimeClass(p, Branch.RESIDUE_FORM, w_res)
     if euler_says_residue:
         raise ConsistencyError(f"{p}: 4u^2+2uv+7v^2 representation but Euler says residue")
-    return PrimeClass(p, Branch.NONRESIDUE_FORM, w_non, 0, -0.5)
+    return PrimeClass(p, Branch.NONRESIDUE_FORM, w_non)
 
 
 def _rho_prime(k: int, p: int) -> int:
@@ -284,8 +280,6 @@ def roots_mod(k: int, m: int) -> list[int]:
         raise DomainError(f"modulus {m} must be >= 1")
     if m > BRUTE_FORCE_BUDGET:
         raise ResourceError(f"modulus {m} exceeds scan budget {BRUTE_FORCE_BUDGET}")
-    if m <= 64:
-        return [x for x in range(m) if (x**3 + k) % m == 0]
     xs = np.arange(m, dtype=np.int64)
     acc = xs * xs % m * xs % m
     return np.flatnonzero(acc == -k % m).tolist()

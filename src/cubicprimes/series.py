@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import sieve_range
-from .dset import members_and_mobius
+from .dset import enumerate_dset
 from .errors import DomainError, ResourceError
 from .residues import QuadraticForm
 
@@ -76,7 +76,8 @@ def dirichlet_partial_sum(
     if checkpoints is None:
         checkpoints = [x]
     _check_checkpoints(checkpoints, x)
-    members, mu = members_and_mobius(k, x)
+    members = enumerate_dset(k, x)
+    mu = sieve_range(max(x, 2)).mu[members]
     keep = mu != 0
     members = members[keep]
     mu = mu[keep].astype(np.float64)

@@ -10,7 +10,7 @@ from cubicprimes import (
     ResourceError,
     __version__,
     cli,
-    dset,
+    series,
     verify,
 )
 from cubicprimes.counting import SERIES_BUDGET
@@ -264,13 +264,13 @@ class TestFlags:
 
     def test_dseries_checkpoints_are_one_enumeration(self, capsys, monkeypatch):
         calls = []
-        original = dset.enumerate_dset
+        original = series.enumerate_dset
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(dset, "enumerate_dset", counted)
+        monkeypatch.setattr(series, "enumerate_dset", counted)
         xs = [1000, 50000, 100000]
         _, payload = run_json(
             capsys, ["dseries", "--k", "2", "--x", "100000", "--checkpoints", "1000,50000,100000"])
@@ -418,3 +418,14 @@ def test_edge_argv_exits_without_traceback(argv, code):
     if code:
         assert proc.stderr.startswith("error:") and proc.stdout == ""
     assert NAMES_FLAG.get(tuple(argv), "") in proc.stderr
+
+
+def test_verify_refuses_format():
+    # verify prints text only; argparse refuses --format with usage first, so
+    # this is not one of EDGE_ARGVS, whose refusals start with "error:"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubicprimes.cli", "verify", "--suite", "lemma4", "--format", "json"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "--format" in proc.stderr and proc.stdout == ""

@@ -16,6 +16,7 @@ from cubicprimes import (
     count_table,
     enumerate_cubic_primes,
     factorize,
+    integer_root,
     is_prime,
     lambda_sum_rhs,
     max_index,
@@ -103,6 +104,17 @@ class TestIndexRange:
         lo, hi = min_index(k), max_index(k, x)
         assert lo**3 + k >= 2 > (lo - 1) ** 3 + k
         assert hi**3 + k <= x < (hi + 1) ** 3 + k
+
+    @pytest.mark.parametrize("k", [2**63 + 1, -(2**63 + 1), 10**400 + 1, -(10**400 + 1)])
+    def test_boundaries_are_exact_at_huge_shifts(self, k):
+        lo = min_index(k)
+        assert lo**3 + k >= 2 > (lo - 1) ** 3 + k
+        c = integer_root(abs(k), 3)
+        for n in (0, 1, -1, c, -c, c + 1, -c - 1, 2 * c, -2 * c):
+            for x in (n**3 + k - 1, n**3 + k, n**3 + k + 1):
+                hi = max_index(k, x)
+                assert hi**3 + k <= x < (hi + 1) ** 3 + k
+            assert max_index(k, n**3 + k) == n
 
 
 class TestEnumerate:

@@ -10,7 +10,6 @@ from cubicprimes import (
     dset_density,
     enumerate_dset,
     in_dset,
-    members_and_mobius,
     primes_up_to,
     rho_bruteforce,
 )
@@ -140,11 +139,3 @@ class TestDensity:
         stats = dset_density(2, 5000, [10, 100, 1000, 5000])
         counts = [c for _, c, _ in stats.checkpoints]
         assert counts == sorted(counts)
-
-
-class TestMembersAndMobius:
-    def test_alignment(self, tables_small):
-        members, mu = members_and_mobius(2, 10**4)
-        assert members.tolist() == enumerate_dset(2, 10**4).tolist()
-        assert list(mu) == list(tables_small.mu[members])
-        assert mu[0] == 1  # member 1 has mu = 1

@@ -145,29 +145,24 @@ class TestGaussClassification:
         cls = gauss_classify(31)
         assert cls.branch is Branch.RESIDUE_FORM
         assert cls.witness == (2, 1)
-        assert cls.rho_p == 3
-        assert cls.chi == 1.0
 
     def test_7_is_nonresidue_form(self):
         cls = gauss_classify(7)
         assert cls.branch is Branch.NONRESIDUE_FORM
         assert cls.witness == (0, 1)
-        assert cls.rho_p == 0
-        assert cls.chi == -0.5
 
     def test_13_witness(self):
         cls = gauss_classify(13)
         assert cls.branch is Branch.NONRESIDUE_FORM
         assert cls.witness == (1, 1)
-        assert cls.rho_p == 0
 
     def test_three_and_two_mod_three_branches(self):
         cls3 = gauss_classify(3)
         assert cls3.branch is Branch.THREE
-        assert cls3.witness is None and cls3.rho_p == 1 and cls3.chi is None
+        assert cls3.witness is None
         cls5 = gauss_classify(5)
         assert cls5.branch is Branch.TWO_MOD3
-        assert cls5.rho_p == 1
+        assert cls5.witness is None
 
     def test_composite_rejected(self):
         with pytest.raises(DomainError):

@@ -13,6 +13,7 @@ from cubicprimes import (
     epstein_mu_sum,
     epstein_r,
     epstein_zeta_partial,
+    in_dset,
     kappa_trajectory,
     representation_counts,
     sieve_range,
@@ -46,6 +47,16 @@ class TestDirichletPartialSum:
             alone = dirichlet_partial_sum(2, 1.0, rec.x)[0]
             assert alone.value == rec.value
             assert alone.terms_used == rec.terms_used
+
+    def test_terms_are_the_solvable_squarefree_moduli(self, tables_small):
+        # each solvable modulus n <= x carries its own sieved mu(n); here
+        # membership is decided one n at a time by in_dset
+        x = 10**4
+        members = [n for n in range(1, x + 1) if tables_small.mu[n] != 0 and in_dset(2, n)]
+        rec = dirichlet_partial_sum(2, 1.0, x)[0]
+        assert rec.terms_used == len(members)
+        expected = math.fsum(int(tables_small.mu[n]) * math.log(n) / n for n in members)
+        assert rec.value == pytest.approx(expected, rel=1e-12)
 
     def test_higher_s_shrinks_terms(self):
         v1 = abs(dirichlet_partial_sum(2, 1.0, 1000)[0].value)
