@@ -43,6 +43,9 @@ COMMANDS = [
     ["verify", "--suite", "all", "--scale", "tiny"],
     ["verify", "--suite", "rho", "--scale", "full", "--k", "54"],
     ["verify", "--suite", "all", "--scale", "full"],
+    # both routes of the weighted sum, printed with repr, for other shifts
+    *(["verify", "--suite", "eq3", "--scale", "full", "--k", str(k)]
+      for k in (54, -54, 250, -128, -2)),
     *(["chebyshev", "--k", str(k), "--x", "10000000000000"] for k in BENCH_K),
     *(["chebyshev", "--k", "2", "--x", "1000000000", "--weight", w]
       for w in ("totient", "sigma", "tau")),

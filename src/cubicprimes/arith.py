@@ -107,9 +107,12 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for 0 <= n < 2^64 (true answer, no error bound)."""
+    """Deterministic primality for n <= U64_MAX (true answer, no error bound);
+    larger n raise CapacityError, since no proof covers the bases there."""
     if n < 2:
         return False
+    if n > U64_MAX:
+        raise CapacityError(f"{n} exceeds the unsigned 64-bit primality budget")
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
@@ -407,7 +410,8 @@ def factorize(n: int) -> Factorization:
     then deterministic Pollard-Brent splitting with primality certification
     of every final factor. A cofactor m that trial division leaves with
     p * p > m for the next prime p has no smaller factor, so it is 1 or
-    prime and needs no test."""
+    prime and needs no test. A factor above U64_MAX that is left to test
+    raises CapacityError from is_prime."""
     if n < 1:
         raise DomainError(f"cannot factor {n}; argument must be >= 1")
     m = n

@@ -40,7 +40,7 @@ from .arith import (
 from .errors import CapacityError, DomainError, ResourceError
 from .residues import _rho_primes, roots_mod
 
-RHS_BUDGET = 10**5  # lambda_sum_rhs scans roots mod every prime <= x
+RHS_BUDGET = 5 * 10**7  # lambda_sum_rhs tests every prime <= x on each value: 7.5 s, 122 MB
 SERIES_BUDGET = 10**8  # singular_series sieves every prime <= its cutoff
 _SERIES_BLOCK = 4096  # primes per cumprod block of singular_series
 PROGRESSION_BUDGET = 10**7  # progression_weighted_sum adds up to x // q terms per class
@@ -130,6 +130,22 @@ def min_index(k: int) -> int:
 def max_index(k: int, x: int) -> int:
     """Largest n with n^3 + k <= x."""
     return _first_index_at_least(k, x + 1) - 1
+
+
+def _check_weights(lo: int, hi: int, exponent: int) -> None:
+    """CapacityError unless every weight |n|^exponent over n in [lo, hi]
+    is a float, so that the Lambda sums can add it."""
+    if hi < lo:
+        return
+    top = max(abs(lo), abs(hi))
+    try:
+        if (top.bit_length() - 1) * exponent >= 1024:
+            raise OverflowError
+        float(top**exponent)
+    except OverflowError:
+        raise CapacityError(
+            f"the weight |n|^{exponent} at a {top.bit_length()}-bit index n "
+            "exceeds the float range") from None
 
 
 @lru_cache(maxsize=8)
@@ -355,9 +371,11 @@ def weighted_lambda_sum(k: int, weight: Weight, x: int) -> WeightedSumRecord:
         raise DomainError("x must be >= 1")
     if x > U64_MAX:
         raise CapacityError(f"x = {x} exceeds the unsigned 64-bit value budget")
+    lo, hi = _first_index_at_least(k, 1), max_index(k, x)
+    _check_weights(lo, hi, weight.exponent if weight.kind == "power" else 1)
     total = 0.0
     tail = 0.0
-    for hit in _walk(k, _first_index_at_least(k, 1), [max_index(k, x)], powers=True):
+    for hit in _walk(k, lo, [hi], powers=True):
         if hit is None:
             break
         n, v, p = hit
@@ -374,25 +392,17 @@ def weighted_lambda_sum(k: int, weight: Weight, x: int) -> WeightedSumRecord:
     )
 
 
-def _ap_sum(r: int, d: int, lo: int, hi: int) -> int:
-    """Sum of n in [lo, hi] with n = r mod d."""
-    first = lo + ((r - lo) % d)
-    if first > hi:
-        return 0
-    cnt = (hi - first) // d + 1
-    return cnt * (2 * first + (cnt - 1) * d) // 2
-
-
 def lambda_sum_rhs(k: int, x: int) -> float:
     """The divisor-side evaluation of the weighted sum with weight n:
     -sum over squarefree d of mu(d) log d times (sum of n in the index range
     with d | n^3 + k), the terms added in ascending d.
 
-    The roots of n^3 = -k mod each prime p <= x come from a linear scan; the
-    roots mod a squarefree d are built from those of its primes by CRT, and
-    mu(d) = (-1)^omega(d). The index range matches weighted_lambda_sum
-    (1 <= n^3 + k <= x), so every divisor that occurs is <= x and the two
-    sides agree exactly up to float rounding.
+    The index range matches weighted_lambda_sum (1 <= n^3 + k <= x), so
+    every value lies in [1, x] and every divisor that occurs is <= x: each
+    prime p <= x is tested against the values themselves, with no roots mod
+    p. Walking the squarefree d depth-first, the n for d * p are those for d
+    that p also divides, and mu(d) = (-1)^omega(d). The two sides agree
+    exactly up to float rounding.
     """
     if x < 2:
         raise DomainError("x must be >= 2")
@@ -402,20 +412,23 @@ def lambda_sum_rhs(k: int, x: int) -> float:
     hi = max_index(k, x)
     if hi < lo:
         return 0.0
-    prime_roots = [(p, roots) for p in primes_up_to(x).tolist() if (roots := roots_mod(k, p))]
-    terms = {}  # squarefree d with a root -> (mu(d), sum of n in range with d | n^3 + k)
-    stack = [(1, 1, [0], 0)]  # d, mu(d), roots mod d, index of the next prime to try
+    _check_weights(lo, hi, 1)
+    primes = primes_up_to(x)
+    hits = {}  # prime p -> the n in range with p | n^3 + k
+    for n in range(lo, hi + 1):
+        for p in primes[(n * n * n + k) % primes == 0].tolist():
+            hits.setdefault(p, set()).add(n)
+    by_prime = sorted(hits.items())
+    terms = {}  # squarefree d -> (mu(d), sum of n in range with d | n^3 + k)
+    stack = [(1, 1, set(range(lo, hi + 1)), 0)]  # d, mu(d), its n, index of the next prime
     while stack:
-        d, m, roots, j = stack.pop()
-        for i in range(j, len(prime_roots)):
-            p, p_roots = prime_roots[i]
-            dp = d * p
-            if dp > x:
-                break
-            inv = pow(d, -1, p)
-            crt = [r + d * ((t - r) * inv % p) for r in roots for t in p_roots]
-            terms[dp] = (-m, sum(_ap_sum(r, dp, lo, hi) for r in crt))
-            stack.append((dp, -m, crt, i + 1))
+        d, m, ns, j = stack.pop()
+        for i in range(j, len(by_prime)):
+            p, p_ns = by_prime[i]
+            both = ns & p_ns
+            if both:
+                terms[d * p] = (-m, sum(both))
+                stack.append((d * p, -m, both, i + 1))
     total = 0.0
     for d in sorted(terms):
         m, s = terms[d]
@@ -472,8 +485,9 @@ def prime_power_tail(k: int, checkpoints: list[int]) -> list[tuple[float, float]
     if checkpoints[-1] > U64_MAX:
         raise CapacityError(f"x = {checkpoints[-1]} exceeds the unsigned 64-bit value budget")
     lo = max(1, min_index(k))
-    hits = _walk(k, lo, [max(max_index(k, x), lo - 1) for x in checkpoints],
-                 primes=False, powers=True)
+    bounds = [max(max_index(k, x), lo - 1) for x in checkpoints]
+    _check_weights(lo, bounds[-1], 1)
+    hits = _walk(k, lo, bounds, primes=False, powers=True)
     out, tail = [], 0.0
     for x in checkpoints:
         for hit in hits:

@@ -63,7 +63,7 @@ def test_a03_rho_formula_vs_scan(report):
 
 
 def test_a04_weighted_sum_divisor_route(report):
-    results = lambda_identity((100, 1000, 10000))
+    results = lambda_identity((100, 1000, 10000, 100000))
     ok = all(r.passed for r in results)
     report(ok, "weighted-sum-divisor-route",
            "; ".join(r.detail for r in results))

@@ -118,6 +118,12 @@ class TestPrimality:
         assert not is_prime(0)
         assert not is_prime(-7)
 
+    def test_past_64_bits_refused(self):
+        assert is_prime(2**64 - 59)  # the largest prime below 2^64
+        for n in (2**64, 2**64 + 13, 2**65):
+            with pytest.raises(CapacityError):
+                is_prime(n)
+
     @given(n=st.integers(2, 10**4))
     @settings(max_examples=300)
     def test_agrees_with_sieve(self, tables_small, n):

@@ -366,6 +366,10 @@ def test_large_s_raises_no_overflow_warning(argv):
 
 
 HUGE_K = str(10**400 + 1)  # a non-cube shift far past the float range
+SQUARE_K = str(4 - 10**1002)  # n = 10^334 gives 2^2, a weight past the float range
+SEVEN_K = str(7 - 10**399)  # n = 10^133 gives 7; n^3 is past the float range
+SHORT_K = {HUGE_K: "10^400+1", SQUARE_K: "4-10^1002", SEVEN_K: "7-10^399"}
+P64 = str(2**64 + 13)  # the least prime above 2^64
 
 
 EDGE_ARGVS = [
@@ -397,6 +401,17 @@ EDGE_ARGVS = [
     (["dset", "--k", "2", "--x", "0"], 2),
     (["count", "--k", "2", "--x", "7"], 2),
     (["chebyshev", "--k", "2", "--x", str(2**64)], 3),
+    # an index weight |n| or |n|^exponent that cannot be a float
+    (["tail", "--k", SQUARE_K, "--x", "1000"], 3),
+    (["chebyshev", "--k", SQUARE_K, "--x", "1000"], 3),
+    (["chebyshev", "--k", SEVEN_K, "--x", "1000", "--exponent", "3"], 3),
+    (["chebyshev", "--k", "2", "--x", "1000000", "--exponent", "100000"], 3),
+    (["verify", "--suite", "eq3", "--k", SQUARE_K], 3),
+    # a primality test past 2^64, where no proof covers the bases; a modulus
+    # that trial division factors needs none
+    (["residue", "--a", "2", "--p", P64], 3),
+    (["rho", "--k", "2", "--q", P64], 3),
+    (["rho", "--k", "2", "--q", str(2**65)], 0),
 ]
 
 
@@ -409,7 +424,7 @@ NAMES_FLAG = {
 
 
 @pytest.mark.parametrize("argv,code", EDGE_ARGVS, ids=[
-    " ".join(argv).replace(HUGE_K, "10^400+1") for argv, _ in EDGE_ARGVS])
+    " ".join(SHORT_K.get(a, a) for a in argv) for argv, _ in EDGE_ARGVS])
 def test_edge_argv_exits_without_traceback(argv, code):
     proc = subprocess.run([sys.executable, "-m", "cubicprimes.cli", *argv],
                           capture_output=True, text=True)

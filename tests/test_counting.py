@@ -30,7 +30,9 @@ from cubicprimes import (
     singular_series,
     weighted_lambda_sum,
 )
+from cubicprimes import counting
 from cubicprimes.counting import (
+    RHS_BUDGET,
     _ROOT_EXPONENTS,
     _alive,
     _power_filter,
@@ -296,6 +298,11 @@ class TestWeightedLambdaSum:
         assert rec.value == pytest.approx(
             expected_tail + 6 * math.log(233), rel=1e-13)
 
+    def test_weight_past_float_range(self):
+        # n = 10^334 gives 2^2; the CLI edge argvs cover the power weights
+        with pytest.raises(CapacityError):
+            weighted_lambda_sum(4 - 10**1002, Weight("totient"), 1000)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             weighted_lambda_sum(2, POWER1, 0)
@@ -316,7 +323,23 @@ class TestLambdaSumRhs:
 
     def test_budget(self):
         with pytest.raises(ResourceError):
-            lambda_sum_rhs(2, 10**5 + 1)
+            lambda_sum_rhs(2, RHS_BUDGET + 1)
+
+    @pytest.mark.parametrize("x,expected", [
+        (3 * 10**4, "0x1.4860e8ae8ed3ep+8"), (10**5, "0x1.a523b56d4199bp+9")])
+    def test_pinned_values(self, x, expected):
+        assert lambda_sum_rhs(2, x).hex() == expected
+
+    def test_no_roots_mod_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(counting, "roots_mod",
+                            lambda *a: calls.append(a) or roots_mod(*a))
+        lambda_sum_rhs(54, 10**4)
+        assert calls == []
+
+    def test_weight_past_float_range(self):
+        with pytest.raises(CapacityError):
+            lambda_sum_rhs(4 - 10**1002, 1000)
 
     def test_other_shift(self):
         lhs = weighted_lambda_sum(5, POWER1, 3000).value
@@ -324,7 +347,7 @@ class TestLambdaSumRhs:
 
     @pytest.mark.parametrize("k", [2, 54, -2])
     def test_crt_roots_equal_scan_per_divisor(self, k):
-        # the route before CRT: mu from the sieve, roots by a scan mod every d
+        # mu from the sieve, and the n with d | n^3 + k from a root scan mod every d
         x = 3000
         lo, hi = min_index(k) - 1, max_index(k, x)
         mu = sieve_range(x).mu
