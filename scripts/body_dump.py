@@ -43,6 +43,9 @@ COMMANDS = [
     ["verify", "--suite", "all", "--scale", "tiny"],
     ["verify", "--suite", "rho", "--scale", "full", "--k", "54"],
     ["verify", "--suite", "all", "--scale", "full"],
+    # the benchmark's lemma2 job, and the smallest bound lemma2 accepts
+    ["verify", "--suite", "lemma2", "--scale", "full", "--nmax", "30000"],
+    ["verify", "--suite", "lemma2", "--nmax", "2"],
     # both routes of the weighted sum, printed with repr, for other shifts
     *(["verify", "--suite", "eq3", "--scale", "full", "--k", str(k)]
       for k in (54, -54, 250, -128, -2)),

@@ -14,7 +14,6 @@ from .arith import (
     tau,
     totient,
     von_mangoldt,
-    von_mangoldt_via_mobius,
 )
 from .counting import (
     CountRecord,
@@ -75,7 +74,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArithTables", "Factorization", "factorize", "integer_root", "is_prime",
     "primes_up_to", "sieve_range", "sigma", "tau", "totient", "von_mangoldt",
-    "von_mangoldt_via_mobius",
     "CountRecord", "ProgressionSum", "Weight", "WeightedSumRecord",
     "count_cubic_primes", "count_table", "enumerate_cubic_primes",
     "lambda_sum_rhs", "max_index", "min_index", "prime_power_tail",

@@ -1,6 +1,6 @@
-"""Integer arithmetic underneath everything else: sieves, the Mobius and
-von Mangoldt functions, deterministic 64-bit primality, factorization
-and exact integer roots.
+"""Integer arithmetic underneath everything else: sieves (with the Mobius
+function), the von Mangoldt function of one n by factorization,
+deterministic 64-bit primality, factorization and exact integer roots.
 
 Values handled here are plain Python ints, which never overflow;
 the 64-bit guards below are input budgets, not wraparound protection.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, count
+from itertools import count
 
 import numpy as np
 
@@ -448,28 +448,6 @@ def von_mangoldt(n: int) -> float:
     if len(fact.factors) == 1:
         return math.log(fact.factors[0][0])
     return 0.0
-
-
-def von_mangoldt_via_mobius(n: int) -> float:
-    """The same value as von_mangoldt, but through the divisor identity
-    -sum_{d | n} mu(d) log d. mu vanishes off the squarefree divisors, and
-    those are the products d of the nonempty subsets S of n's distinct
-    primes, with mu(d) = (-1)^|S|; only they are formed, by
-    itertools.combinations, and added in order of increasing |S|.
-
-    Kept as a second, structurally different route so the two can be
-    cross-checked over a range: it sums over the subsets of the primes,
-    where von_mangoldt only counts them.
-    """
-    if n < 1:
-        raise DomainError(f"argument {n} must be >= 1")
-    primes = factorize(n).distinct_primes
-    total = 0.0
-    for size in range(1, len(primes) + 1):
-        sign = -1 if size % 2 else 1
-        for subset in combinations(primes, size):
-            total += sign * math.log(math.prod(subset))
-    return -total
 
 
 def integer_root(n: int, k: int) -> int:

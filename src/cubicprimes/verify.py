@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import (
-    factorize,
-    primes_up_to,
-    sieve_range,
-    von_mangoldt,
-    von_mangoldt_via_mobius,
-)
+from .arith import factorize, primes_up_to, sieve_range
 from .counting import Weight, lambda_sum_rhs, progression_weighted_sum, weighted_lambda_sum
 from .errors import DomainError, ResourceError
 from .residues import (
@@ -38,8 +32,10 @@ SUITES = ("lemma2", "lemma3", "lemma4", "rho", "eq3", "all")
 
 # work budgets on the --nmax/--pmax overrides, each set from a measured run
 # of at most about 15 s on 2 cores (time and peak RSS in the README)
-MANGOLDT_BUDGET = 2 * 10**5  # one factorize per n, linear
-DIVISOR_SUM_BUDGET = 10**7  # float64 arrays of n_max entries
+# lemma2 peaks in the Mobius route's sieve at about 23 B per entry: the
+# float64 sums (8 B) and, for the 6/pi^2 of entries that are squarefree,
+# an int64 d, a float64 weight and a float64 gather (24 B per d)
+LEMMA2_BUDGET = 3 * 10**7
 GAUSS_BUDGET = 10**8  # a 1 B flag per entry per form, plus the prime sieve
 RHO_SCAN_BUDGET = 4 * 10**4  # one linear scan per squarefree q, quadratic
 
@@ -82,39 +78,111 @@ def _close(a: float, b: float, rel: float) -> bool:
     return math.isclose(a, b, rel_tol=rel, abs_tol=1e-12)
 
 
+def _divisor_sums(ds: np.ndarray, w: np.ndarray, n_max: int) -> np.ndarray:
+    """acc[n] = sum of w[i] over the ascending ds[i] >= 1 that divide n, for
+    n in 1..n_max, as float64 (acc[0] is 0).
+
+    A d up to isqrt(n_max) adds its weight to its multiples with one strided
+    slice. The larger d are added one multiplier m at a time, over every d
+    with m * d <= n_max at once, as in sieve_range. That is about
+    2 * sqrt(n_max) Python iterations.
+    """
+    acc = np.zeros(n_max + 1)
+    n_small = int(np.searchsorted(ds, math.isqrt(n_max), side="right"))
+    for d, wd in zip(ds[:n_small].tolist(), w[:n_small].tolist()):
+        acc[d::d] += wd
+    big, wb = ds[n_small:], w[n_small:]
+    m = 1
+    while big.size:
+        acc[m * big if m > 1 else big] += wb  # m = 1 needs no product array
+        m += 1
+        keep = int(np.searchsorted(big, n_max // m, side="right"))
+        big, wb = big[:keep], wb[:keep]
+    return acc
+
+
+def _prime_powers(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The prime powers p^e <= n_max, ascending, and log p for each."""
+    base = primes_up_to(n_max)
+    logs = np.log(base.astype(np.float64))
+    powers = []
+    power = base
+    while power.size:
+        powers.append(power)
+        # p^e ascends with p, so the powers that stay in range are a prefix
+        keep = int(np.count_nonzero(power <= n_max // base[: power.size]))
+        power = power[:keep] * base[:keep]
+    pp = np.concatenate(powers)
+    logp = np.concatenate([logs[: p.size] for p in powers])
+    order = np.argsort(pp)
+    return pp[order], logp[order]
+
+
+def _mangoldt_direct(n_max: int) -> np.ndarray:
+    """Lambda on 0..n_max as float64: log p at every prime power p^e."""
+    lam = np.zeros(n_max + 1)
+    pp, logp = _prime_powers(n_max)
+    lam[pp] = logp
+    return lam
+
+
+def _mangoldt_mobius(n_max: int) -> np.ndarray:
+    """Lambda on 0..n_max as float64 by Lemma 2's identity
+    -sum_{d | n} mu(d) log d, with mu from sieve_range: one divisor-sum
+    sieve over the squarefree d >= 2 (the d = 1 term is 0)."""
+    mu = sieve_range(n_max).mu
+    ds = np.flatnonzero(mu[2:])
+    ds += 2
+    w = np.log(ds.astype(np.float64))
+    w *= -mu[ds]
+    del mu
+    return _divisor_sums(ds, w, n_max)
+
+
 def mangoldt_identity(n_max: int) -> CheckResult:
-    """von_mangoldt equals the explicit divisor-route evaluation on 1..n_max."""
-    _check_floor("n_max", n_max, 1)
-    _check_budget("n_max", n_max, MANGOLDT_BUDGET)
-    for n in range(1, n_max + 1):
-        direct = von_mangoldt(n)
-        via = von_mangoldt_via_mobius(n)
-        if not _close(direct, via, 1e-9):
+    """Lambda from prime-power marks equals Lemma 2's divisor route on
+    1..n_max.
+
+    The comparison is in place: the divisor route's array becomes the
+    difference, and only the n where it passes 1e-12 go on to the exact
+    _close test. Where Lambda is 0 the difference is the divisor route's
+    value itself; elsewhere the two lie within a factor 2 of each other on
+    every n that can pass, so adding Lambda back recovers it exactly.
+    """
+    _check_floor("n_max (--nmax)", n_max, 2)
+    _check_budget("n_max (--nmax)", n_max, LEMMA2_BUDGET)
+    diff = _mangoldt_mobius(n_max)
+    direct = _mangoldt_direct(n_max)
+    diff -= direct
+    for n in np.flatnonzero((diff > 1e-12) | (diff < -1e-12)).tolist():
+        lam = float(direct[n])
+        via = lam + float(diff[n])
+        if not _close(lam, via, 1e-9):
             return CheckResult(
                 "mangoldt-mobius-identity", False,
-                f"n={n}: direct={direct!r} divisor-route={via!r}")
+                f"n={n}: direct={lam!r} divisor-route={via!r}")
     return CheckResult("mangoldt-mobius-identity", True,
                        f"both routes agree to 1e-9 for n <= {n_max}")
 
 
 def mangoldt_divisor_sum(n_max: int) -> CheckResult:
-    """sum of Lambda over divisors reproduces log n on 2..n_max (sieved)."""
-    _check_floor("n_max", n_max, 2)
-    _check_budget("n_max", n_max, DIVISOR_SUM_BUDGET)
-    acc = np.zeros(n_max + 1)
-    for p in primes_up_to(n_max):
-        p = int(p)
-        logp = math.log(p)
-        q = p
-        while q <= n_max:
-            acc[q::q] += logp
-            q *= p
-    logs = np.log(np.arange(2, n_max + 1, dtype=np.float64))
-    err = np.abs(acc[2:] - logs) / logs
+    """The sum of Lambda over the divisors of n reproduces log n on
+    2..n_max: one divisor-sum sieve over the prime powers, each weighted
+    log p. The relative error |acc / log n - 1| is formed in place in the
+    log n array."""
+    _check_floor("n_max (--nmax)", n_max, 2)
+    _check_budget("n_max (--nmax)", n_max, LEMMA2_BUDGET)
+    acc = _divisor_sums(*_prime_powers(n_max), n_max)
+    err = np.arange(2, n_max + 1, dtype=np.float64)
+    np.log(err, out=err)
+    np.divide(acc[2:], err, out=err)
+    err -= 1
+    np.abs(err, out=err)
     worst = int(np.argmax(err)) + 2
-    if err.max() > 1e-9:
+    if err[worst - 2] > 1e-9:
         return CheckResult("mangoldt-divisor-sum", False,
-                           f"n={worst}: divisor sum {acc[worst]!r} vs log n {math.log(worst)!r}")
+                           f"n={worst}: divisor sum {float(acc[worst])!r} "
+                           f"vs log n {math.log(worst)!r}")
     return CheckResult("mangoldt-divisor-sum", True,
                        f"divisor sums match log n to 1e-9 for n <= {n_max}")
 
@@ -136,8 +204,8 @@ def gauss_euler_split(p_max: int) -> CheckResult:
     rows are exact form evaluations, and the flags are read at the primes;
     Euler's test runs over the same prime array.
     """
-    _check_floor("p_max", p_max, 7)
-    _check_budget("p_max", p_max, GAUSS_BUDGET)
+    _check_floor("p_max (--pmax)", p_max, 7)
+    _check_budget("p_max (--pmax)", p_max, GAUSS_BUDGET)
     primes = primes_up_to(p_max)
     primes = primes[primes % 3 == 1]
     residue, nonresidue = (_form_values(form, p_max)[primes]

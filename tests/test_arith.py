@@ -20,7 +20,6 @@ from cubicprimes import (
     tau,
     totient,
     von_mangoldt,
-    von_mangoldt_via_mobius,
 )
 from cubicprimes import arith
 from cubicprimes.arith import _strong_base2, _strong_lucas, is_prime_batch
@@ -83,24 +82,6 @@ class TestVonMangoldt:
 
     def test_one(self):
         assert von_mangoldt(1) == 0.0
-
-    def test_divisor_route_values(self):
-        assert von_mangoldt_via_mobius(1) == 0.0
-        assert von_mangoldt_via_mobius(9) == pytest.approx(math.log(3), rel=1e-12)
-        assert von_mangoldt_via_mobius(12) == pytest.approx(0.0, abs=1e-12)
-
-    @given(st.integers(1, 5000))
-    @settings(max_examples=200)
-    def test_two_routes_agree(self, n):
-        assert von_mangoldt_via_mobius(n) == pytest.approx(von_mangoldt(n), rel=1e-9, abs=1e-12)
-
-    @pytest.mark.parametrize("n", [
-        2**40,  # 41 divisors, one squarefree d > 1
-        6469693230,  # the product of the first ten primes: 1,023 subsets
-        2**3 * 3**4 * 5**2 * 7,
-    ])
-    def test_two_routes_agree_on_wide_factorizations(self, n):
-        assert von_mangoldt_via_mobius(n) == pytest.approx(von_mangoldt(n), rel=1e-9, abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -121,7 +121,7 @@ class TestExitCodes:
         assert max(limits, default=0) <= SERIES_BUDGET
 
     @pytest.mark.parametrize("argv", [
-        ["--suite", "lemma2", "--nmax", str(verify.MANGOLDT_BUDGET + 1)],
+        ["--suite", "lemma2", "--nmax", str(verify.LEMMA2_BUDGET + 1)],
         ["--suite", "lemma3", "--pmax", str(verify.GAUSS_BUDGET + 1)],
         ["--suite", "rho", "--nmax", str(verify.RHO_SCAN_BUDGET + 1)],
     ])
@@ -131,7 +131,7 @@ class TestExitCodes:
         assert "budget" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("check,bound", [
-        (verify.mangoldt_identity, 0),
+        (verify.mangoldt_identity, 1),
         (verify.mangoldt_divisor_sum, 1),
         (verify.gauss_euler_split, 6),
         (verify.rho_against_scan, 0),
@@ -141,9 +141,10 @@ class TestExitCodes:
             check(bound)
 
     def test_divisor_sum_budget(self):
-        # lemma2's --nmax reaches the identity check's smaller budget first
-        with pytest.raises(ResourceError):
-            verify.mangoldt_divisor_sum(verify.DIVISOR_SUM_BUDGET + 1)
+        # both lemma2 checks share one budget; through the CLI the identity
+        # check meets it first, so the divisor sum is refused here directly
+        with pytest.raises(ResourceError, match="n_max \\(--nmax\\)"):
+            verify.mangoldt_divisor_sum(verify.LEMMA2_BUDGET + 1)
 
     @pytest.mark.parametrize("argv", [
         ["fixdiv", "--coeffs", "2,1,1"],
@@ -387,6 +388,8 @@ EDGE_ARGVS = [
     (["verify", "--suite", "lemma2", "--nmax", "-5"], 2),
     (["verify", "--suite", "rho", "--nmax", "-3"], 2),
     (["verify", "--suite", "rho", "--nmax", str(verify.RHO_SCAN_BUDGET + 1)], 3),
+    (["verify", "--suite", "lemma2", "--nmax", str(verify.LEMMA2_BUDGET + 1)], 3),
+    (["verify", "--suite", "lemma3", "--pmax", str(verify.GAUSS_BUDGET + 1)], 3),
     (["verify", "--suite", "lemma3", "--pmax", "0"], 2),
     (["verify", "--suite", "lemma3", "--pmax", "5"], 2),
     (["verify", "--suite", "lemma3", "--pmax", "-7"], 2),
@@ -418,8 +421,17 @@ EDGE_ARGVS = [
 # refusals of a bound whose parameter is named apart from its flag: the
 # message must name the flag that was typed
 NAMES_FLAG = {
+    ("verify", "--suite", "lemma2", "--nmax", "0"): "--nmax",
+    ("verify", "--suite", "lemma2", "--nmax", "1"): "--nmax",
+    ("verify", "--suite", "lemma2", "--nmax", "-5"): "--nmax",
+    ("verify", "--suite", "lemma2", "--nmax", str(verify.LEMMA2_BUDGET + 1)): "--nmax",
+    ("verify", "--suite", "all", "--nmax", "0"): "--nmax",
     ("verify", "--suite", "rho", "--nmax", "-3"): "--nmax",
     ("verify", "--suite", "rho", "--nmax", str(verify.RHO_SCAN_BUDGET + 1)): "--nmax",
+    ("verify", "--suite", "lemma3", "--pmax", "0"): "--pmax",
+    ("verify", "--suite", "lemma3", "--pmax", "5"): "--pmax",
+    ("verify", "--suite", "lemma3", "--pmax", "-7"): "--pmax",
+    ("verify", "--suite", "lemma3", "--pmax", str(verify.GAUSS_BUDGET + 1)): "--pmax",
 }
 
 

@@ -1,6 +1,14 @@
-"""The form split of the paper's Lemma 3 (verify.gauss_euler_split): its
-PASS text, its first counterexample when a route is wrong, and agreement
-of its lattice sweep with the per-prime form search of gauss_classify."""
+"""The whole-array checks of the paper's Lemmas 2 and 3 in verify.
+
+Lemma 2 (mangoldt_identity, mangoldt_divisor_sum): the divisor-sum sieve
+against a plain divisor loop, both Lambda routes against each other and
+against the scalar von_mangoldt, and the counterexample a wrong route
+leaves. Lemma 3 (gauss_euler_split): its PASS text, its first
+counterexample when a route is wrong, and agreement of its lattice sweep
+with the per-prime form search of gauss_classify.
+"""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,12 +16,139 @@ import pytest
 from cubicprimes import (
     NONRESIDUE_FORM,
     RESIDUE_FORM,
+    ArithTables,
     Branch,
     gauss_classify,
     primes_up_to,
     verify,
+    von_mangoldt,
 )
-from cubicprimes.verify import _form_values, gauss_euler_split
+from cubicprimes.verify import (
+    _divisor_sums,
+    _form_values,
+    _mangoldt_direct,
+    _mangoldt_mobius,
+    gauss_euler_split,
+    mangoldt_divisor_sum,
+    mangoldt_identity,
+)
+
+# Lemma 2
+
+
+@pytest.mark.parametrize("n_max", [54**2, 55**2 - 1])
+def test_divisor_sums_match_a_divisor_loop(n_max):
+    rng = np.random.default_rng(n_max)
+    root = math.isqrt(n_max)
+    ds = np.unique(np.concatenate([
+        [1, root - 1, root, root + 1, n_max],
+        rng.choice(np.arange(2, root - 1), 20, replace=False),
+        rng.choice(np.arange(root + 2, n_max), 200, replace=False)]))
+    w = rng.standard_normal(ds.size)
+    pairs = list(zip(ds.tolist(), w.tolist()))
+    want = [sum(wd for d, wd in pairs if n % d == 0) for n in range(1, n_max + 1)]
+    acc = _divisor_sums(ds, w, n_max)
+    assert acc.shape == (n_max + 1,) and acc[0] == 0.0
+    assert acc[1:].tolist() == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_von_mangoldt_matches_the_direct_route():
+    lam = _mangoldt_direct(10**4)
+    want = [von_mangoldt(n) for n in range(1, 10**4 + 1)]
+    assert lam[1:].tolist() == pytest.approx(want, rel=1e-15)
+
+
+def test_divisor_route_values():
+    lam = _mangoldt_mobius(12)
+    assert lam[1] == 0.0
+    assert lam[9] == pytest.approx(math.log(3), rel=1e-12)
+    assert lam[12] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_two_routes_agree():
+    direct, via = _mangoldt_direct(5000), _mangoldt_mobius(5000)
+    assert via.tolist() == pytest.approx(direct.tolist(), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [
+    2**19,  # 20 divisors, one squarefree d > 1
+    510510,  # the product of the first seven primes: 127 squarefree d > 1
+    2**3 * 3**4 * 5**2 * 7,
+])
+def test_two_routes_agree_on_wide_factorizations(n):
+    n_max = 6 * 10**5
+    via = _mangoldt_mobius(n_max)[n]
+    assert via == pytest.approx(von_mangoldt(n), rel=1e-9, abs=1e-12)
+    assert via == pytest.approx(_mangoldt_direct(n_max)[n], rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_max", [2, 30000])
+def test_lemma2_pass_details(n_max):
+    assert mangoldt_identity(n_max) == verify.CheckResult(
+        "mangoldt-mobius-identity", True, f"both routes agree to 1e-9 for n <= {n_max}")
+    assert mangoldt_divisor_sum(n_max) == verify.CheckResult(
+        "mangoldt-divisor-sum", True, f"divisor sums match log n to 1e-9 for n <= {n_max}")
+
+
+def _flip_mu_at(monkeypatch, d):
+    original = verify.sieve_range
+
+    def flipped(limit):
+        tables = original(limit)
+        mu = tables.mu.copy()
+        mu[d] = -mu[d]
+        return ArithTables(mu=mu, primes=tables.primes)
+
+    monkeypatch.setattr(verify, "sieve_range", flipped)
+
+
+def _drop_prime_power(monkeypatch, q):
+    original = verify._prime_powers
+
+    def dropped(n_max):
+        pp, logp = original(n_max)
+        keep = pp != q
+        return pp[keep], logp[keep]
+
+    monkeypatch.setattr(verify, "_prime_powers", dropped)
+
+
+def _drop_divisor(monkeypatch, d):
+    original = verify._divisor_sums
+
+    def dropped(ds, w, n_max):
+        keep = ds != d
+        return original(ds[keep], w[keep], n_max)
+
+    monkeypatch.setattr(verify, "_divisor_sums", dropped)
+
+
+@pytest.mark.parametrize("mutate,n,direct,via", [
+    (_flip_mu_at, 7, math.log(7), -math.log(7)),
+    (_flip_mu_at, 30, 0.0, -2 * math.log(30)),
+    (_drop_prime_power, 8, 0.0, math.log(2)),
+    (_drop_divisor, 101, math.log(101), 0.0),
+])
+def test_identity_names_the_first_wrong_n(monkeypatch, mutate, n, direct, via):
+    mutate(monkeypatch, n)
+    r = mangoldt_identity(1000)
+    assert (r.name, r.passed) == ("mangoldt-mobius-identity", False)
+    head, value = r.detail.rsplit("=", 1)
+    assert head == f"n={n}: direct={direct!r} divisor-route"
+    assert float(value) == pytest.approx(via, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("mutate,at,detail", [
+    (_drop_prime_power, 101, "n=101: divisor sum 0.0 vs log n 4.61512051684126"),
+    (_drop_divisor, 101, "n=101: divisor sum 0.0 vs log n 4.61512051684126"),
+])
+def test_divisor_sum_names_the_worst_n(monkeypatch, mutate, at, detail):
+    mutate(monkeypatch, at)
+    r = mangoldt_divisor_sum(1000)
+    assert (r.name, r.passed, r.detail) == ("mangoldt-divisor-sum", False, detail)
+
+
+# Lemma 3
 
 FORM_OF = {Branch.RESIDUE_FORM: RESIDUE_FORM, Branch.NONRESIDUE_FORM: NONRESIDUE_FORM}
 
