@@ -68,6 +68,16 @@ COMMANDS = [
     # a shift far past the float range, where exact integer roots are needed
     ["constant", "--k", str(10**400 + 1), "--checkpoints", "100,10000,1000000"],
     ["count", "--k", str(10**400 + 1), "--checkpoints", "1000000,1000000000"],
+    # the benchmark's local jobs
+    ["dset", "--k", "2", "--x", "3000000"],
+    ["dseries", "--k", "2", "--x", "3000000"],
+    ["epstein", "--form", "1,0,27", "--s", "1", "--mu", "--x", "10000000"],
+    ["verify", "--suite", "lemma3", "--scale", "full", "--pmax", "200000"],
+    ["verify", "--suite", "rho", "--scale", "full"],
+    # the rho check with other shifts, and at the smallest bound it accepts
+    *(["verify", "--suite", "rho", "--scale", "full", "--k", str(k)]
+      for k in (-2, 250, -128, 10**30 + 7)),
+    ["verify", "--suite", "rho", "--nmax", "1"],
 ]
 
 

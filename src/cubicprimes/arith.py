@@ -62,8 +62,8 @@ def sieve_range(limit: int) -> ArithTables:
 
     limit outside [2, SIEVE_LIMIT_MAX] raises CapacityError. mu takes 1 byte
     per entry (int8) and primes 8 bytes per prime (int64, about
-    limit / ln(limit) of them); building them adds primes_up_to's 1-byte
-    boolean flags.
+    limit / ln(limit) of them). primes_up_to's flags, 1 byte per odd number
+    and so half a byte per entry, are freed before mu is allocated.
     """
     if limit < 2 or limit > SIEVE_LIMIT_MAX:
         raise CapacityError(f"sieve limit {limit} outside [2, {SIEVE_LIMIT_MAX}]")
@@ -87,17 +87,28 @@ def sieve_range(limit: int) -> ArithTables:
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """Ascending primes <= limit via a plain boolean sieve of Eratosthenes."""
+    """Ascending primes <= limit as int64, by a sieve of Eratosthenes over
+    the odd numbers only.
+
+    flags[i] stands for 2i + 1, and flags[0] (for 1) is reused for 2, so
+    the sieve takes 1 byte per odd number (limit / 2 bytes) and the result
+    8 bytes per prime. The primes are formed in place in the one array
+    flatnonzero returns.
+    """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     if limit > SIEVE_LIMIT_MAX:
         raise CapacityError(f"prime sieve limit {limit} above {SIEVE_LIMIT_MAX}")
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+    flags = np.ones((limit + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = False  # odd multiples from p^2, 2p apart
+    primes = np.flatnonzero(flags)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 # Strong-pseudoprime bases covering every n < 2^64; any composite in that

@@ -12,8 +12,8 @@ and is tested against gauss_classify.
 The Euler test, and with it the root count rho_p of x^3 + k mod p, has two
 forms: _rho_prime takes one prime with Python's pow and is the reference
 route for every single-prime caller; _rho_primes takes an int64 array of
-primes in one square-and-multiply pass, for enumerate_dset, singular_series
-and the form-split check, and is tested against _rho_prime.
+primes in one square-and-multiply pass, for enumerate_dset, singular_series,
+the form-split check and the rho check, and is tested against _rho_prime.
 """
 
 from __future__ import annotations

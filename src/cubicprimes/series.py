@@ -205,9 +205,11 @@ def epstein_mu_sum(form: QuadraticForm, s: float, n_max: int) -> float:
         return 0.0
     counts = representation_counts(form, n_max)
     mu = sieve_range(max(n_max, 2)).mu[: n_max + 1]
-    keep = (mu != 0) & (counts != 0)
+    keep = mu != 0
+    np.logical_and(keep, counts, out=keep)  # in place: no second mask
     keep[1] = True
     ns = np.flatnonzero(keep)
+    del keep
     with np.errstate(over="ignore"):  # n^s = inf makes the term 0, as it should
         terms = mu[ns].astype(np.float64) * counts[ns] / ns.astype(np.float64) ** s
     return float(np.cumsum(terms)[-1])

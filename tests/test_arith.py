@@ -55,6 +55,22 @@ class TestSieve:
     def test_primes_up_to(self):
         assert list(primes_up_to(10)) == [2, 3, 5, 7]
 
+    def test_primes_up_to_matches_trial_division(self):
+        # every limit up to 200, so each odd square and both parities of
+        # the limit meet the odd-only index arithmetic
+        for n in range(201):
+            want = [m for m in range(2, n + 1)
+                    if all(m % d for d in range(2, math.isqrt(m) + 1))]
+            got = primes_up_to(n)
+            assert got.dtype == np.int64 and got.tolist() == want, n
+
+    @pytest.mark.parametrize("j,count", [
+        (1, 4), (2, 25), (3, 168), (4, 1229), (5, 9592), (6, 78498), (7, 664579)])
+    def test_prime_counts_at_powers_of_ten(self, j, count):
+        primes = primes_up_to(10**j)
+        assert primes.dtype == np.int64 and primes.size == count
+        assert primes[-1] <= 10**j
+
 
 class TestMobius:
     def test_reference_values(self, tables_small):

@@ -1,11 +1,13 @@
-"""The whole-array checks of the paper's Lemmas 2 and 3 in verify.
+"""The whole-array checks of verify: the paper's Lemmas 2 and 3 and rho.
 
 Lemma 2 (mangoldt_identity, mangoldt_divisor_sum): the divisor-sum sieve
 against a plain divisor loop, both Lambda routes against each other and
 against the scalar von_mangoldt, and the counterexample a wrong route
 leaves. Lemma 3 (gauss_euler_split): its PASS text, its first
 counterexample when a route is wrong, and agreement of its lattice sweep
-with the per-prime form search of gauss_classify.
+with the per-prime form search of gauss_classify. rho (rho_against_scan):
+its PASS text, each side against its scalar route (rho, rho_bruteforce),
+and the first q a wrong side leaves.
 """
 
 import math
@@ -20,6 +22,9 @@ from cubicprimes import (
     Branch,
     gauss_classify,
     primes_up_to,
+    rho,
+    rho_bruteforce,
+    sieve_range,
     verify,
     von_mangoldt,
 )
@@ -28,9 +33,12 @@ from cubicprimes.verify import (
     _form_values,
     _mangoldt_direct,
     _mangoldt_mobius,
+    _rho_formula,
+    _rho_scan,
     gauss_euler_split,
     mangoldt_divisor_sum,
     mangoldt_identity,
+    rho_against_scan,
 )
 
 # Lemma 2
@@ -232,3 +240,65 @@ def test_form_disagreement_names_the_prime(monkeypatch, form, p, value, detail):
     _set_form_values(monkeypatch, form, p, value)
     r = gauss_euler_split(1000)
     assert r.passed is False and r.detail == detail
+
+
+# rho
+
+RHO_KS = [2, -2, 54, 250, -128, 10**30 + 7]
+
+
+@pytest.mark.parametrize("q_max,count", [(1, 1), (1000, 608), (10**4, 6083)])
+def test_rho_pass_detail(q_max, count):
+    assert rho_against_scan(q_max) == verify.CheckResult(
+        "rho-vs-scan", True, f"{count} squarefree moduli <= {q_max} agree (k=2)")
+
+
+def _squarefree_up_to(q_max):
+    return np.flatnonzero(sieve_range(q_max).mu)
+
+
+@pytest.mark.parametrize("k", RHO_KS)
+def test_rho_formula_matches_the_scalar_rho(k):
+    qs = _squarefree_up_to(3000)
+    formula = _rho_formula(k, 3000)
+    assert formula.dtype == np.int64
+    assert formula[qs].tolist() == [rho(k, q) for q in qs.tolist()]
+
+
+@pytest.mark.parametrize("k", RHO_KS)
+def test_rho_scan_matches_the_scalar_scan(k):
+    qs = _squarefree_up_to(3000)
+    assert _rho_scan(k, qs).tolist() == [rho_bruteforce(k, q) for q in qs.tolist()]
+
+
+def _drop_prime(monkeypatch, p):
+    original = verify.primes_up_to
+
+    def dropped(limit):
+        primes = original(limit)
+        return primes[primes != p]
+
+    monkeypatch.setattr(verify, "primes_up_to", dropped)
+
+
+def _lose_root_at(monkeypatch, q):
+    original = verify._rho_scan
+
+    def lost(k, qs):
+        scan = original(k, qs)
+        scan[qs == q] -= 1
+        return scan
+
+    monkeypatch.setattr(verify, "_rho_scan", lost)
+
+
+@pytest.mark.parametrize("mutate,at,detail", [
+    (_flip_euler_at, 7, "q=7: multiplicative 3 vs scan 0"),
+    (_flip_euler_at, 31, "q=31: multiplicative 0 vs scan 3"),
+    (_flip_euler_at, 2, "q=2: multiplicative 2 vs scan 1"),
+    (_drop_prime, 43, "q=43: multiplicative 1 vs scan 3"),
+    (_lose_root_at, 62, "q=62: multiplicative 3 vs scan 2"),
+])
+def test_rho_names_the_first_wrong_q(monkeypatch, mutate, at, detail):
+    mutate(monkeypatch, at)
+    assert rho_against_scan(1000) == verify.CheckResult("rho-vs-scan", False, detail)
