@@ -78,6 +78,12 @@ COMMANDS = [
     *(["verify", "--suite", "rho", "--scale", "full", "--k", str(k)]
       for k in (-2, 250, -128, 10**30 + 7)),
     ["verify", "--suite", "rho", "--nmax", "1"],
+    # the exact power test at the top of the value range, and moduli whose
+    # prime cubes are struck because p^2 | k (7^2 | 98, 11^2 | 242)
+    ["tail", "--k", "-2", "--checkpoints", "1000000000000000000,18446744073709551615"],
+    ["chebyshev", "--k", "2", "--x", "18446744073709551615"],
+    ["dset", "--k", "98", "--x", "1000000"],
+    ["dset", "--k", "242", "--x", "1000000"],
 ]
 
 

@@ -291,13 +291,22 @@ def _selfridge(n: np.ndarray) -> np.ndarray:
         pending = pending[(j == 1) | ((j == 0) & (n[pending] <= a))]
 
 
-def _is_square(n: np.ndarray) -> np.ndarray:
-    """n == r^2 for some integer r, for n in uint64: the float square root
-    is off by at most 1 and is corrected exactly."""
-    r = np.minimum(np.sqrt(n.astype(np.float64)).astype(np.uint64), _LOW32)
-    r -= r * r > n
-    r += (r < _LOW32) & ((r + 1) * (r + 1) <= n)
-    return r * r == n
+def _is_power(n: np.ndarray, q: int) -> np.ndarray:
+    """n == r^q for some integer r, for n in uint64 and q >= 2.
+
+    r is the float q-th root of n, rounded. A true root is below 2^32 and
+    the float root lies within 2^-19 of it, so rounding finds it with no
+    correction step. Capped at integer_root(U64_MAX, q), r^q is exact in
+    uint64. One float and one uint64 buffer are reused in place.
+    """
+    r = n.astype(np.float64)
+    np.power(r, 1.0 / q, out=r)
+    np.rint(r, out=r)
+    np.minimum(r, integer_root(U64_MAX, q), out=r)
+    root = r.astype(np.uint64)
+    del r
+    np.power(root, q, out=root)
+    return root == n
 
 
 def _strong_lucas(n: np.ndarray) -> np.ndarray:
@@ -316,7 +325,7 @@ def _strong_lucas(n: np.ndarray) -> np.ndarray:
     U_d = 0 exactly when 2V_{d+1} = V_d mod n.
     """
     verdict = np.zeros(n.size, dtype=bool)
-    idx = np.flatnonzero(~_is_square(n))
+    idx = np.flatnonzero(~_is_power(n, 2))
     D = _selfridge(n[idx])
     idx, D = idx[D != 0], D[D != 0]
     if not idx.size:

@@ -6,8 +6,8 @@ The observed side is one walk over the index range of n^3 + k in ascending
 against small primes, whose survivors are certified together by the
 batched Baillie-PSW test (is_prime_batch: strong base 2, then strong
 Lucas, in Montgomery arithmetic; one call per segment), and, for the
-Lambda sums, a residue filter that passes every value that
-could be a proper prime power (candidates go to exact integer roots and
+Lambda sums, an exact test of which values are q-th powers for a prime q
+(each power's base is then found by exact integer roots and certified by
 the scalar is_prime). Scalar is_prime is also the reference route:
 enumerate_cubic_primes tests every value with it. Counts, the
 weighted Lambda sums and the prime-power tail are reductions over that
@@ -23,12 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, islice
+from itertools import combinations
 
 import numpy as np
 
 from .arith import (
     U64_MAX,
+    _is_power,
     integer_root,
     is_prime,
     is_prime_batch,
@@ -183,51 +184,14 @@ def _prescreen_bound(span: int) -> int:
     return 10**4
 
 
-@lru_cache(maxsize=None)
-def _power_moduli(q: int) -> tuple[int, ...]:
-    """Moduli whose q-th power residues make up the filter for exponent q:
-    a value that is a q-th power is a q-th power residue mod every one."""
-    if q == 2:
-        return (64, 63, 65, 11)
-    if q == 3:
-        return (63, 13, 19, 37)
-    return tuple(islice((m for m in count(2 * q + 1, 2 * q) if is_prime(m)), 3))
-
-
-@lru_cache(maxsize=None)
-def _power_residues(q: int, m: int) -> np.ndarray:
-    """Boolean table of the q-th powers mod m (0 included)."""
-    residue = np.zeros(m, dtype=bool)
-    residue[[pow(s, q, m) for s in range(m)]] = True
-    return residue
-
-
-def _power_filter(k: int, bits: int) -> list[list[tuple[int, np.ndarray]]]:
-    """Per prime q < bits, ascending, its (m, table) pairs: table[n mod m]
-    says whether n^3 + k is a q-th power residue mod m."""
-    out = []
-    for q in _ROOT_EXPONENTS:
-        if q >= bits:
-            break
-        per_q = []
-        for m in _power_moduli(q):
-            r = np.arange(m, dtype=np.int64)
-            per_q.append((m, _power_residues(q, m)[(r * r * r + k % m) % m]))
-        out.append(per_q)
-    return out
-
-
-def _maybe_power(lo: int, size: int, power_filter) -> np.ndarray:
-    """True at offset i when n = lo + i passes every table of some q; a
-    necessary condition for n^3 + k = p^e with e >= 2."""
-    mask = np.zeros(size, dtype=bool)
-    offsets = np.arange(size, dtype=np.int64)
-    for per_q in power_filter:
-        cand = offsets
-        for m, table in per_q:
-            cand = cand[table[(cand + lo % m) % m]]
-        mask[cand] = True
-    return mask
+def _cubes(n: np.ndarray, lo: int, k: int) -> np.ndarray:
+    """The values (lo + n)^3 + k for uint64 offsets n, formed in uint64 in
+    place over n: exact, since every walked value lies in [0, 2^64)."""
+    n += np.uint64(lo % 2**64)
+    v = n * n
+    v *= n
+    v += np.uint64(k % 2**64)
+    return v
 
 
 def _walk(k: int, lo: int, bounds: list[int], primes: bool = True, powers: bool = False):
@@ -236,30 +200,36 @@ def _walk(k: int, lo: int, bounds: list[int], primes: bool = True, powers: bool 
     that is prime (p = v, when primes is set) or a proper prime power p^e
     (when powers is set), and None on reaching each bound.
 
-    Each segment's sieve survivors are formed as uint64 values (exact,
-    since every walked value lies in [0, 2^64)) and certified by one
-    Baillie-PSW is_prime_batch call; filter candidates go one by one to
-    _prime_power_base and the scalar is_prime. The masks only decide which
-    values get tested.
+    Each segment's sieve survivors are formed as uint64 values and
+    certified by one Baillie-PSW is_prime_batch call. On the power path
+    every value of the segment is formed, and _is_power marks the exact
+    q-th powers for each prime q below the largest value's bit length;
+    _prime_power_base finds each one's base and certifies it.
     """
     prescreen = _prescreen(k, _prescreen_bound(bounds[-1] - lo + 1)) if primes else ()
-    power_filter = _power_filter(k, (bounds[-1] ** 3 + k).bit_length()) if powers else ()
     for b in bounds:
         while lo <= b:
             hi = min(lo + _SEGMENT - 1, b)
             size = hi - lo + 1
             prime = np.zeros(size, dtype=bool)
+            power = np.zeros(size, dtype=bool)
             if primes:
                 alive = np.flatnonzero(_alive(lo, hi, prescreen))
-                nu = alive.astype(np.uint64) + np.uint64(lo % 2**64)
-                prime[alive] = is_prime_batch(nu * nu * nu + np.uint64(k % 2**64))
-            maybe = _maybe_power(lo, size, power_filter) if powers else np.zeros(size, dtype=bool)
-            for i in np.flatnonzero(prime | maybe).tolist():
+                prime[alive] = is_prime_batch(_cubes(alive.astype(np.uint64), lo, k))
+            if powers:
+                values = _cubes(np.arange(size, dtype=np.uint64), lo, k)
+                bits = (hi**3 + k).bit_length()
+                for q in _ROOT_EXPONENTS:
+                    if q >= bits:
+                        break
+                    power |= _is_power(values, q)
+                del values
+            for i in np.flatnonzero(prime | power).tolist():
                 n = lo + i
                 v = n * n * n + k
                 if prime[i]:
                     yield n, v, v
-                elif maybe[i] and v >= 4:
+                elif power[i] and v >= 4:
                     p = _prime_power_base(v)
                     if p is not None:
                         yield n, v, p
@@ -400,9 +370,9 @@ def lambda_sum_rhs(k: int, x: int) -> float:
     The index range matches weighted_lambda_sum (1 <= n^3 + k <= x), so
     every value lies in [1, x] and every divisor that occurs is <= x: each
     prime p <= x is tested against the values themselves, with no roots mod
-    p. Walking the squarefree d depth-first, the n for d * p are those for d
-    that p also divides, and mu(d) = (-1)^omega(d). The two sides agree
-    exactly up to float rounding.
+    p. The squarefree divisors of a value are the products of the r-subsets
+    of the primes that divide it, each with mu = (-1)^r. The two sides
+    agree exactly up to float rounding.
     """
     if x < 2:
         raise DomainError("x must be >= 2")
@@ -414,21 +384,14 @@ def lambda_sum_rhs(k: int, x: int) -> float:
         return 0.0
     _check_weights(lo, hi, 1)
     primes = primes_up_to(x)
-    hits = {}  # prime p -> the n in range with p | n^3 + k
+    terms = {}  # squarefree d > 1 -> (mu(d), sum of n in range with d | n^3 + k)
     for n in range(lo, hi + 1):
-        for p in primes[(n * n * n + k) % primes == 0].tolist():
-            hits.setdefault(p, set()).add(n)
-    by_prime = sorted(hits.items())
-    terms = {}  # squarefree d -> (mu(d), sum of n in range with d | n^3 + k)
-    stack = [(1, 1, set(range(lo, hi + 1)), 0)]  # d, mu(d), its n, index of the next prime
-    while stack:
-        d, m, ns, j = stack.pop()
-        for i in range(j, len(by_prime)):
-            p, p_ns = by_prime[i]
-            both = ns & p_ns
-            if both:
-                terms[d * p] = (-m, sum(both))
-                stack.append((d * p, -m, both, i + 1))
+        ps = primes[(n * n * n + k) % primes == 0].tolist()
+        for r in range(1, len(ps) + 1):
+            for subset in combinations(ps, r):
+                d = math.prod(subset)
+                m, s = terms.get(d, ((-1) ** r, 0))
+                terms[d] = (m, s + n)
     total = 0.0
     for d in sorted(terms):
         m, s = terms[d]
@@ -474,9 +437,9 @@ def prime_power_tail(k: int, checkpoints: list[int]) -> list[tuple[float, float]
     value is a proper prime power p^v <= x with v >= 2; bound is the
     comparison quantity sqrt(x) * log(x)^2. Both are 0.0 for x < 1.
 
-    Candidates are the values that pass the residue filter; each is
-    certified by exact integer roots and a primality test of the base,
-    not by factoring. The terms are added in ascending n.
+    Each value that is an exact q-th power for a prime q is certified by
+    exact integer roots and a primality test of the base, not by
+    factoring. The terms are added in ascending n.
     """
     if sorted(checkpoints) != list(checkpoints):
         raise DomainError("checkpoints must be ascending")

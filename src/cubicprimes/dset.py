@@ -67,13 +67,15 @@ def enumerate_dset(k: int, limit: int) -> np.ndarray:
     """Ascending int64 array of every modulus d <= limit with x^3 + k
     solvable mod d.
 
-    Sieve-style: for each prime, find the largest exponent E with
-    x^3 + k solvable mod p^E inside the limit, then strike all multiples of
-    p^(E+1). A modulus survives iff each of its prime-power parts is
-    solvable. Primes up to sqrt(limit) find their roots by scan and lift
-    them. Primes above it need only the root count rule, taken over all of
-    them at once by _rho_primes; the rootless ones are struck one
-    multiplier m at a time, m * p for every such p with m * p <= limit.
+    Sieve-style: a modulus survives iff each of its prime-power parts is
+    solvable. The rootless primes come from the root count rule, taken over
+    all primes at once by _rho_primes, and their multiples are struck: by
+    strided slices up to sqrt(limit), and above it one multiplier m at a
+    time, m * p for every such p with m * p <= limit. A root mod p with
+    p not dividing 3k is simple (3r^2 != 0 mod p), so by Hensel's lemma it
+    lifts to every p^e. Only the primes p | 3k with p^2 <= limit find their
+    roots by scan and lift them, striking the multiples of the first p^e
+    with none.
     """
     if limit < 1:
         raise DomainError(f"limit {limit} must be >= 1")
@@ -83,20 +85,21 @@ def enumerate_dset(k: int, limit: int) -> np.ndarray:
     ok[0] = False
     primes = primes_up_to(limit)
     split = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
-    for p in map(int, primes[:split]):
-        roots = roots_mod(k, p)
-        if not roots:
-            ok[p::p] = False
+    for p in primes[:split].tolist():
+        if 3 * k % p:
             continue
-        q, j = p * p, 1
+        roots, q, j = roots_mod(k, p), p * p, 1
         while q <= limit:
             roots = _lift_once(k, roots, p, j)
             if not roots:
                 ok[q::q] = False
                 break
             q, j = q * p, j + 1
-    large = primes[split:]
-    bad = large[_rho_primes(k, large) == 0]
+    bad = primes[_rho_primes(k, primes) == 0]
+    n_small = int(np.searchsorted(bad, math.isqrt(limit), side="right"))
+    for p in bad[:n_small].tolist():
+        ok[p::p] = False
+    bad = bad[n_small:]
     m = 1
     while bad.size:
         ok[m * bad] = False

@@ -31,12 +31,11 @@ from cubicprimes import (
     weighted_lambda_sum,
 )
 from cubicprimes import counting
+from cubicprimes.arith import U64_MAX, _is_power
 from cubicprimes.counting import (
     RHS_BUDGET,
     _ROOT_EXPONENTS,
     _alive,
-    _power_filter,
-    _power_moduli,
     _prescreen,
     _prime_power_base,
     _walk,
@@ -473,23 +472,21 @@ class TestSegmentedWalk:
 
     def test_power_of_a_prescreen_prime_is_found(self):
         # 3^3 - 2 = 5^2: the progression sieve strikes n = 3 (5 divides 25),
-        # so only the power filter can hand this value on
+        # so only the power test can hand this value on
         assert not _alive(3, 3, _prescreen(-2, 1000))[0]
         rec = weighted_lambda_sum(-2, POWER1, 10**9)
         assert rec.tail_value == 3 * math.log(5)
         assert prime_power_tail(-2, [10**14])[0][0] == 3 * math.log(5)
 
-    def test_power_filter_passes_every_power(self):
-        for i, q in enumerate(_ROOT_EXPONENTS):
-            if q > 3:
-                assert all(is_prime(m) and m % q == 1 for m in _power_moduli(q))
-            for b in range(2, 201):
-                v = b**q
-                if v >= 2**64:
-                    break
-                for n in (-7, 0, 1, 12, 999, 2**21 + 5):
-                    tables = _power_filter(v - n**3, q + 1)[i]
-                    assert all(table[n % m] for m, table in tables), (b, q, n)
+    def test_is_power_is_exact(self):
+        for q in _ROOT_EXPONENTS:
+            powers = [b**q for b in range(2, 201) if b**q <= U64_MAX]
+            top = integer_root(U64_MAX, q) ** q
+            v = np.array(powers + [top], dtype=np.uint64)
+            assert _is_power(v, q).all(), q
+            assert not _is_power(v - np.uint64(1), q).any(), q
+            assert not _is_power(v + np.uint64(1), q).any(), q
+            assert not _is_power(np.array([U64_MAX], dtype=np.uint64), q)[0], q
 
     @pytest.mark.parametrize("k, lo, hi", [
         (2, 2**21 - 35_000, 2**21 + 35_000),  # values cross 2^63

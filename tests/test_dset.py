@@ -15,7 +15,7 @@ from cubicprimes import (
 )
 from cubicprimes.residues import _rho_prime
 
-SHIFTS = [2, -2, 7, 17, 54, 250, -128]
+SHIFTS = [2, -2, 7, 17, 54, 250, -128, 98, 242]  # 7^2 | 98 and 11^2 | 242 strike 7^3 and 11^3
 
 MEMBERS_300 = enumerate_dset(2, 300).tolist()
 
@@ -93,8 +93,9 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("k", SHIFTS)
     def test_limits_around_a_rootless_prime_square(self, k):
-        # p <= sqrt(limit) is scanned and lifted, p > sqrt(limit) takes the
-        # array rule; p^2 - 1, p^2 and p^2 + 1 put p on either side
+        # a rootless p <= sqrt(limit) is struck by a strided slice, and
+        # p > sqrt(limit) by the multiplier sweep; p^2 - 1, p^2 and p^2 + 1
+        # put p on either side
         p = max(p for p in primes_up_to(130).tolist() if _rho_prime(k, p) == 0)
         assert p > 60
         members = [d for d in range(1, p * p + 2) if in_dset(k, d)]
