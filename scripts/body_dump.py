@@ -84,6 +84,12 @@ COMMANDS = [
     ["chebyshev", "--k", "2", "--x", "18446744073709551615"],
     ["dset", "--k", "98", "--x", "1000000"],
     ["dset", "--k", "242", "--x", "1000000"],
+    # limits at the prime square 97^2, where the multiples sweep moves 97
+    # from the strided slices to the multiplier steps
+    ["dset", "--k", "2", "--x", "9409"],
+    ["dseries", "--k", "2", "--x", "9409"],
+    ["verify", "--suite", "rho", "--nmax", "9409"],
+    ["verify", "--suite", "lemma2", "--nmax", "9409"],
 ]
 
 

@@ -58,7 +58,8 @@ class Factorization:
 
 
 def sieve_range(limit: int) -> ArithTables:
-    """Sieve Mobius values for 0..limit from the primes of primes_up_to.
+    """Sieve Mobius values for 0..limit: each prime of primes_up_to flips
+    the sign of its multiples and zeroes the multiples of its square.
 
     limit outside [2, SIEVE_LIMIT_MAX] raises CapacityError. mu takes 1 byte
     per entry (int8) and primes 8 bytes per prime (int64, about
@@ -70,20 +71,36 @@ def sieve_range(limit: int) -> ArithTables:
     primes = primes_up_to(limit)
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
+    for at, _ in _multiples(primes, limit):
+        mu[at] *= -1
     n_small = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
-    for p in primes[:n_small]:
-        p = int(p)
-        mu[p::p] *= -1
+    for p in primes[:n_small].tolist():  # in either order, as 0 * -1 = 0
         mu[p * p :: p * p] = 0
-    # a prime above sqrt(limit) has no square in range; flip the sign of its
-    # multiples one multiplier m at a time, over every such prime at once
-    big = primes[n_small:]
-    m = 1
+    return ArithTables(mu=mu, primes=primes)
+
+
+def _multiples(ds: np.ndarray, limit: int):
+    """Every multiple m * d <= limit of the ascending ds >= 1, once, as
+    pairs (at, i): the positions at are multiples of ds[i].
+
+    A d up to isqrt(limit) has one strided slice, at = slice(d, None, d),
+    with i its index. The larger d come one multiplier m at a time: at is
+    m * d for every such d with m * d <= limit, and i the slice of ds that
+    covers them. That is about 2 * sqrt(limit) steps. At m = 1 at is that
+    part of ds itself; from m = 3 on the products overwrite the last ones,
+    so a caller must use each at before it draws the next pair, and no two
+    product arrays are alive at once.
+    """
+    n_small = int(np.searchsorted(ds, math.isqrt(limit), side="right"))
+    for i, d in enumerate(ds[:n_small].tolist()):
+        yield slice(d, None, d), i
+    big = ds[n_small : int(np.searchsorted(ds, limit, side="right"))]
+    at, m = big, 1
     while big.size:
-        mu[m * big] *= -1
+        yield at, slice(n_small, n_small + big.size)
         m += 1
         big = big[: int(np.searchsorted(big, limit // m, side="right"))]
-    return ArithTables(mu=mu, primes=primes)
+        at = np.multiply(big, m, out=at[: big.size] if m > 2 else None)
 
 
 def primes_up_to(limit: int) -> np.ndarray:

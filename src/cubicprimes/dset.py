@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factorize, primes_up_to
+from .arith import _multiples, factorize, primes_up_to
 from .errors import DomainError, ResourceError
 from .residues import _rho_primes, roots_mod
 
@@ -67,15 +67,12 @@ def enumerate_dset(k: int, limit: int) -> np.ndarray:
     """Ascending int64 array of every modulus d <= limit with x^3 + k
     solvable mod d.
 
-    Sieve-style: a modulus survives iff each of its prime-power parts is
-    solvable. The rootless primes come from the root count rule, taken over
-    all primes at once by _rho_primes, and their multiples are struck: by
-    strided slices up to sqrt(limit), and above it one multiplier m at a
-    time, m * p for every such p with m * p <= limit. A root mod p with
-    p not dividing 3k is simple (3r^2 != 0 mod p), so by Hensel's lemma it
-    lifts to every p^e. Only the primes p | 3k with p^2 <= limit find their
-    roots by scan and lift them, striking the multiples of the first p^e
-    with none.
+    A modulus survives iff each of its prime-power parts is solvable. The
+    multiples of every rootless prime (by the root count rule of
+    _rho_primes) are struck. A root mod p with p not dividing 3k is simple
+    (3r^2 != 0 mod p), so by Hensel's lemma it lifts to every p^e; at each
+    p | 3k with p^2 <= limit the roots are lifted, and the multiples of the
+    first p^e with none are struck.
     """
     if limit < 1:
         raise DomainError(f"limit {limit} must be >= 1")
@@ -95,16 +92,8 @@ def enumerate_dset(k: int, limit: int) -> np.ndarray:
                 ok[q::q] = False
                 break
             q, j = q * p, j + 1
-    bad = primes[_rho_primes(k, primes) == 0]
-    n_small = int(np.searchsorted(bad, math.isqrt(limit), side="right"))
-    for p in bad[:n_small].tolist():
-        ok[p::p] = False
-    bad = bad[n_small:]
-    m = 1
-    while bad.size:
-        ok[m * bad] = False
-        m += 1
-        bad = bad[: np.searchsorted(bad, limit // m, side="right")]
+    for at, _ in _multiples(primes[_rho_primes(k, primes) == 0], limit):
+        ok[at] = False
     return np.flatnonzero(ok)
 
 
@@ -123,12 +112,18 @@ class DsetStats:
     decay_exponent: float | None
 
 
+def _check_checkpoints(checkpoints: list[int], x: int) -> None:
+    """Refuse a checkpoint list unless it is nonempty, ascending and inside
+    [1, x]."""
+    if not checkpoints or sorted(checkpoints) != list(checkpoints):
+        raise DomainError("checkpoints must be nonempty and ascending")
+    if checkpoints[-1] > x or checkpoints[0] < 1:
+        raise DomainError("checkpoints must lie in [1, x]")
+
+
 def dset_density(k: int, limit: int, checkpoints: list[int]) -> DsetStats:
     """Membership counts and density ratios at the given checkpoints."""
-    if not checkpoints or any(c < 1 or c > limit for c in checkpoints):
-        raise DomainError("checkpoints must be nonempty and within [1, limit]")
-    if sorted(checkpoints) != list(checkpoints):
-        raise DomainError("checkpoints must be ascending")
+    _check_checkpoints(checkpoints, limit)
     members = enumerate_dset(k, limit)
     rows = []
     for x in checkpoints:

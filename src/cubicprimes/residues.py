@@ -159,9 +159,9 @@ def cubic_residue_euler(a: int, p: int) -> CubicClass:
         return CubicClass(CubicTag.NOT_COPRIME)
     if p % 3 != 1:
         return CubicClass(CubicTag.RESIDUE)
-    if is_cube_mod(a_mod, p):
-        return CubicClass(CubicTag.RESIDUE, 0)
     t = pow(a_mod, (p - 1) // 3, p)
+    if t == 1:
+        return CubicClass(CubicTag.RESIDUE, 0)
     z = primitive_cube_root(p)
     if t == z:
         return CubicClass(CubicTag.NONRESIDUE, 1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import sieve_range
-from .dset import enumerate_dset
+from .dset import _check_checkpoints, enumerate_dset
 from .errors import DomainError, ResourceError
 from .residues import QuadraticForm
 
@@ -45,13 +45,6 @@ class KappaTrajectory:
     records: list[PartialSumRecord]
     fitted_kappa: float
     fit_residual: float
-
-
-def _check_checkpoints(checkpoints: list[int], x: int) -> None:
-    if not checkpoints or sorted(checkpoints) != list(checkpoints):
-        raise DomainError("checkpoints must be nonempty and ascending")
-    if checkpoints[-1] > x or checkpoints[0] < 1:
-        raise DomainError("checkpoints must lie in [1, x]")
 
 
 def dirichlet_partial_sum(

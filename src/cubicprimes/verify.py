@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factorize, primes_up_to, sieve_range
+from .arith import _multiples, factorize, primes_up_to, sieve_range
 from .counting import Weight, lambda_sum_rhs, progression_weighted_sum, weighted_lambda_sum
 from .errors import DomainError, ResourceError
 from .residues import (
@@ -80,24 +80,11 @@ def _close(a: float, b: float, rel: float) -> bool:
 
 def _divisor_sums(ds: np.ndarray, w: np.ndarray, n_max: int) -> np.ndarray:
     """acc[n] = sum of w[i] over the ascending ds[i] >= 1 that divide n, for
-    n in 1..n_max, as float64 (acc[0] is 0).
-
-    A d up to isqrt(n_max) adds its weight to its multiples with one strided
-    slice. The larger d are added one multiplier m at a time, over every d
-    with m * d <= n_max at once, as in sieve_range. That is about
-    2 * sqrt(n_max) Python iterations.
-    """
+    n in 1..n_max, as float64 (acc[0] is 0): each d adds its weight to its
+    multiples."""
     acc = np.zeros(n_max + 1)
-    n_small = int(np.searchsorted(ds, math.isqrt(n_max), side="right"))
-    for d, wd in zip(ds[:n_small].tolist(), w[:n_small].tolist()):
-        acc[d::d] += wd
-    big, wb = ds[n_small:], w[n_small:]
-    m = 1
-    while big.size:
-        acc[m * big if m > 1 else big] += wb  # m = 1 needs no product array
-        m += 1
-        keep = int(np.searchsorted(big, n_max // m, side="right"))
-        big, wb = big[:keep], wb[:keep]
+    for at, i in _multiples(ds, n_max):
+        acc[at] += w[i]
     return acc
 
 
@@ -229,15 +216,17 @@ def gauss_euler_split(p_max: int) -> CheckResult:
 
 
 def _rho_formula(k: int, q_max: int) -> np.ndarray:
-    """rho of x^3 + k taken multiplicatively on 0..q_max, as int64: one
-    strided product sieve that multiplies each prime's rho_p into its
-    multiples. The entry at q is the product of rho_p over the primes p | q,
-    which is rho(q) at every squarefree q; nothing is factorized."""
+    """rho of x^3 + k taken multiplicatively on 0..q_max, as int64: each
+    prime's rho_p multiplies its multiples. The entry at q is the product
+    of rho_p over the primes p | q, which is rho(q) at every squarefree q;
+    nothing is factorized."""
     formula = np.ones(q_max + 1, dtype=np.int64)
     primes = primes_up_to(q_max)
-    for p, rho_p in zip(primes.tolist(), _rho_primes(k, primes).tolist()):
-        if rho_p != 1:  # most primes have rho_p = 1, which changes nothing
-            formula[p::p] *= rho_p
+    rho = _rho_primes(k, primes)
+    keep = rho != 1  # most primes have rho_p = 1, which changes nothing
+    rho = rho[keep]
+    for at, i in _multiples(primes[keep], q_max):
+        formula[at] *= rho[i]
     return formula
 
 

@@ -38,13 +38,34 @@ class TestSieve:
     def test_prime_count_below_million(self, tables_million):
         assert len(tables_million.primes) == 78498
 
-    def test_mu_matches_factorization(self):
-        # covers both sieve steps: primes up to sqrt(limit) and those above
-        mu = sieve_range(10**5).mu
-        for n in range(1, 10**5 + 1):
+    # covers both sieve steps, primes up to sqrt(limit) and those above, and
+    # limits around 97^2, where 97 moves from one step to the other
+    @pytest.mark.parametrize("limit", [9408, 9409, 9410, 10**5])
+    def test_mu_matches_factorization(self, limit):
+        mu = sieve_range(limit).mu
+        assert mu.size == limit + 1
+        for n in range(1, limit + 1):
             factors = factorize(n).factors
             expected = 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
             assert mu[n] == expected, n
+
+    # d = 1, d around isqrt(limit) (3 for 10, 96 for 9408, 97 for 9409),
+    # d = limit and d > limit
+    @pytest.mark.parametrize("ds, limit", [
+        ([1, 2, 3, 4, 10, 11], 10),
+        ([1, 95, 96, 97, 9408, 9409], 9408),
+        ([1, 2, 96, 97, 98, 5000, 9409, 9410], 9409),
+        ([5, 6], 4),
+        ([], 10),
+    ])
+    def test_multiples_yields_each_multiple_once(self, ds, limit):
+        ds = np.array(ds, dtype=np.int64)
+        got = []
+        for at, i in arith._multiples(ds, limit):
+            pos = np.arange(limit + 1)[at]  # an index above limit raises here
+            got += zip(pos.tolist(), np.broadcast_to(ds[i], pos.shape).tolist())
+        want = [(m * d, d) for d in ds.tolist() for m in range(1, limit // d + 1)]
+        assert sorted(got) == sorted(want)
 
     def test_limit_guards(self):
         with pytest.raises(CapacityError):
