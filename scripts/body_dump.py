@@ -90,6 +90,10 @@ COMMANDS = [
     ["dseries", "--k", "2", "--x", "9409"],
     ["verify", "--suite", "rho", "--nmax", "9409"],
     ["verify", "--suite", "lemma2", "--nmax", "9409"],
+    # single checkpoints whose walk spans 10^5 indices or more, so that it
+    # sieves with every prime below 10^5
+    *(["count", "--k", str(k), "--checkpoints", "1000000000000000"] for k in BENCH_K),
+    ["count", "--k", "2", "--checkpoints", "18446744073709551615"],
 ]
 
 

@@ -14,6 +14,10 @@ forms: _rho_prime takes one prime with Python's pow and is the reference
 route for every single-prime caller; _rho_primes takes an int64 array of
 primes in one square-and-multiply pass, for enumerate_dset, singular_series,
 the form-split check and the rho check, and is tested against _rho_prime.
+_cube_roots finds the roots themselves over such an array, for the
+count walk's progression sieve, and is tested against the scan roots_mod,
+which stays the oracle behind rho_bruteforce. Both reduce k mod every
+prime with one helper, _residues.
 """
 
 from __future__ import annotations
@@ -227,31 +231,106 @@ def _rho_prime(k: int, p: int) -> int:
 _LIMB_BITS = 30  # a residue below p < 2^30 shifted by one limb stays below 2^61
 
 
+def _residues(n: int, primes: np.ndarray) -> np.ndarray:
+    """n mod each p of an int64 array of primes <= SIEVE_LIMIT_MAX, for a
+    Python int n of any size and sign. |n| mod p is reduced by Horner's rule
+    over its 30-bit limbs, so every intermediate stays below 2^61."""
+    p = np.asarray(primes, dtype=np.int64)
+    m, mask = abs(n), (1 << _LIMB_BITS) - 1
+    a = np.zeros_like(p)
+    for shift in range((m.bit_length() - 1) // _LIMB_BITS * _LIMB_BITS, -1, -_LIMB_BITS):
+        a = ((a << _LIMB_BITS) + (m >> shift & mask)) % p
+    return (p - a) % p if n < 0 else a
+
+
+def _pow_mod(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """base^e mod p elementwise over int64 arrays, by square-and-multiply.
+    Every product is of two residues below p <= 10^9, so p^2 < 2^63 keeps
+    it exact."""
+    power = np.ones_like(p)
+    for bit in range(int(e.max(initial=0)).bit_length()):
+        power = np.where(e & 1 << bit, power * base % p, power)
+        base = base * base % p
+    return power
+
+
 def _rho_primes(k: int, primes: np.ndarray) -> np.ndarray:
     """_rho_prime over an int64 array of primes <= SIEVE_LIMIT_MAX, as an
     int8 array: 1 where p | k or p != 1 mod 3, else 3 or 0 by Euler's test.
 
     The test is taken on |k|: -1 = (-1)^3 is a cube, so -k is a cube mod p
-    iff |k| is. |k| mod p is reduced by Horner's rule over its 30-bit
-    limbs, so k may be any Python int. Every product is of two residues
-    below p <= 10^9, so p^2 < 2^63 keeps the int64 arithmetic exact.
+    iff |k| is. k may be any Python int (see _residues).
     """
     p = np.asarray(primes, dtype=np.int64)
-    n, mask = abs(k), (1 << _LIMB_BITS) - 1
-    a = np.zeros_like(p)
-    for shift in range((n.bit_length() - 1) // _LIMB_BITS * _LIMB_BITS, -1, -_LIMB_BITS):
-        a = ((a << _LIMB_BITS) + (n >> shift & mask)) % p
+    a = _residues(abs(k), p)
     rho = np.ones(p.shape, dtype=np.int8)
     split = np.flatnonzero((p % 3 == 1) & (a != 0))
-    q, base = p[split], a[split]
-    e = (q - 1) // 3
-    power = np.ones_like(q)
-    while e.any():
-        power = np.where(e & 1, power * base % q, power)
-        base = base * base % q
-        e >>= 1
-    rho[split] = np.where(power == 1, 3, 0)
+    q = p[split]
+    rho[split] = np.where(_pow_mod(a[split], (q - 1) // 3, q) == 1, 3, 0)
     return rho
+
+
+def _cube_roots(k: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every root of x^3 + k mod each prime of an int64 array of primes
+    <= SIEVE_LIMIT_MAX, as int64 arrays (i, x): x^3 + k = 0 mod primes[i].
+    Each prime has _rho_primes(k, primes) roots; k may be any Python int.
+
+    With a = -k mod p: the root is 0 where p | k, a where p = 2 or 3 (x^3 = x
+    there), and a^((2p - 1)/3) where p = 2 mod 3, since 3(2p - 1)/3 = 1 mod
+    p - 1. Where -k is a nonzero cube mod p = 1 mod 3, one root comes from
+    the Adleman-Manders-Miller method (Adleman, Manders and Miller, "On
+    taking roots in finite fields", 1977): with p - 1 = 3^s t, 3 not dividing
+    t, and 3u = 1 mod t, x0 = a^u has x0^3 = a e, e = a^(3u - 1) in the
+    3-Sylow subgroup, which g = c^t generates for a non-cube c. The base-3
+    digits of e's discrete log to base g, read from the lowest up (the
+    lowest is 0, since e is a cube there), build y with y^3 = 1/e, and
+    x0 y is a root. The other two are x0 y z and x0 y z^2, for the cube
+    root of unity z = c^((p - 1)/3).
+    """
+    p = np.asarray(primes, dtype=np.int64)
+    a = _residues(-k, p)
+    rho = _rho_primes(k, p)
+    one = np.flatnonzero(rho == 1)
+    q, x = p[one], a[one]
+    odd = (q > 3) & (x != 0)  # p = 2 mod 3: invert the cube map
+    x[odd] = _pow_mod(x[odd], (2 * q[odd] - 1) // 3, q[odd])
+
+    three = np.flatnonzero(rho == 3)
+    q, a = p[three], a[three]
+    s, t = np.zeros_like(q), q - 1
+    while (divisible := t % 3 == 0).any():
+        s += divisible
+        t = np.where(divisible, t // 3, t)
+    u = np.where(t % 3 == 1, 2 * t + 1, t + 1) // 3
+    x0 = _pow_mod(a, u, q)
+    e = _pow_mod(a, 3 * u - 1, q)
+    # the least non-cube c mod each prime, and z = c^((p - 1)/3) != 1
+    c, z = np.zeros_like(q), np.ones_like(q)
+    pending = np.arange(q.size)
+    trial = 2
+    while pending.size:
+        w = _pow_mod(trial % q[pending], (q[pending] - 1) // 3, q[pending])
+        found = w != 1
+        c[pending[found]], z[pending[found]] = trial, w[found]
+        pending = pending[~found]
+        trial += 1
+    z2 = z * z % q
+    h = _pow_mod(c, q - 1 - t, q)  # g^-(3^(i - 1)) at digit i, g = c^t
+    y = np.ones_like(q)
+    top = int(s.max(initial=0))
+    for i in range(1, top):
+        # e, divided by g^(its lower digits), raised to 3^(s - 1 - i), is
+        # z^digit; e is 1 once its s digits are read
+        w = e
+        for j in range(top - 1 - i):
+            w = np.where(j < s - 1 - i, w * w % q * w % q, w)
+        m = np.where(w == z, h, np.where(w == z2, h * h % q, 1))
+        y = y * m % q
+        e = e * (m * m % q * m % q) % q
+        h = h * h % q * h % q
+    x1 = x0 * y % q
+    return (np.concatenate([one, three, three, three]),
+            np.concatenate([x, x1, x1 * z % q, x1 * z2 % q]))
 
 
 def rho(k: int, q: int) -> int:

@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +240,16 @@ class TestCountTable:
         with pytest.raises(DomainError):
             count_table(2, [4], 100)
 
+    REFERENCE = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json")
+                           .read_text(encoding="utf-8"))["count"]
+
+    @pytest.mark.parametrize("k, x", [(2, 10**15), (54, 10**15), (-54, 10**15),
+                                      (250, 10**15), (-128, 10**15), (2, 10**18)])
+    def test_counts_match_the_benchmark_reference(self, k, x):
+        # perfbench/reference.json is computed apart from the package
+        [record] = count_table(k, [x], 100)
+        assert record.observed == self.REFERENCE[str(k)][str(x)]
+
     def test_single_pass_matches_individual_counts(self):
         records = count_table(2, [10**3, 10**5, 10**6], 100)
         assert [r.observed for r in records] == [
@@ -469,6 +481,22 @@ class TestSegmentedWalk:
                 v = n**3 + k
                 struck = any(v % p == 0 and v > p for p in primes)
                 assert alive[n - lo] == (not struck), n
+
+    @pytest.mark.parametrize("k", [2, -2, 54, 7 - 10**399], ids=["2", "-2", "54", "7-10^399"])
+    def test_alive_at_the_walks_deepest_bound(self, k):
+        # every prime below 10^5 sieves: the first window holds values below
+        # 2 and values that are sieve primes themselves, the second only
+        # values above 10^5; for 7 - 10^399 the index passes 10^133. Each n
+        # also ends a window of its own, where the strike has to stop.
+        primes = primes_up_to(10**5).tolist()
+        prescreen = _prescreen(k, 10**5)
+        first = min_index(k)
+        for lo, hi in ((first - 5, first + 50), (first + 10**6, first + 10**6 + 50)):
+            alive = _alive(lo, hi, prescreen)
+            for n in range(lo, hi + 1):
+                v = n**3 + k
+                struck = any(v % p == 0 and v > p for p in primes)
+                assert alive[n - lo] == _alive(lo, n, prescreen)[-1] == (not struck), n
 
     def test_power_of_a_prescreen_prime_is_found(self):
         # 3^3 - 2 = 5^2: the progression sieve strikes n = 3 (5 divides 25),

@@ -21,7 +21,7 @@ from cubicprimes import (
     rho_bruteforce,
     roots_mod,
 )
-from cubicprimes.residues import _rho_prime, _rho_primes, represent_by_form
+from cubicprimes.residues import _cube_roots, _rho_prime, _rho_primes, represent_by_form
 
 
 def primes_one_mod_three(tables, lo, hi):
@@ -300,3 +300,37 @@ class TestRhoPrimes:
 
     def test_empty(self):
         assert _rho_primes(2, np.empty(0, dtype=np.int64)).size == 0
+
+
+class TestCubeRoots:
+    """The array roots of x^3 + k against the scan roots_mod, prime by prime."""
+
+    PRIMES = primes_up_to(20_000)
+
+    @staticmethod
+    def roots_by_prime(k, primes):
+        i, x = _cube_roots(k, primes)
+        assert i.dtype == x.dtype == np.int64
+        out = [[] for _ in range(primes.size)]
+        for j, r in zip(i.tolist(), x.tolist()):
+            out[j].append(r)
+        return [sorted(r) for r in out]
+
+    # p | k at 2, 3, 5 and 7; p = 1 mod 9 (s >= 2) from 19 on; 2^62 + 1 and
+    # 10^400 + 1 take more than one 30-bit limb
+    @pytest.mark.parametrize("k", [2, -2, 54, -54, 250, -128, 3, 7, 2**62 + 1, 10**400 + 1])
+    def test_matches_scan(self, k):
+        got = self.roots_by_prime(k, self.PRIMES)
+        assert got == [roots_mod(k, p) for p in self.PRIMES.tolist()]
+
+    @pytest.mark.parametrize("k", [2, -2, 54, 2**64 + 5, -(2**70 + 3)])
+    def test_primes_just_below_1e9(self, k):
+        primes = TestRhoPrimes.BELOW_1E9
+        got = self.roots_by_prime(k, primes)
+        for p, roots, count in zip(primes.tolist(), got, _rho_primes(k, primes).tolist()):
+            assert len(set(roots)) == len(roots) == count, p
+            assert all(0 <= r < p and (r**3 + k) % p == 0 for r in roots), p
+
+    def test_empty(self):
+        i, x = _cube_roots(2, np.empty(0, dtype=np.int64))
+        assert i.size == x.size == 0
