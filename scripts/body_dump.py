@@ -94,6 +94,10 @@ COMMANDS = [
     # sieves with every prime below 10^5
     *(["count", "--k", str(k), "--checkpoints", "1000000000000000"] for k in BENCH_K),
     ["count", "--k", "2", "--checkpoints", "18446744073709551615"],
+    # counts to 2^64 whose shifts are not 2c^3, so the survivors and the
+    # mix of Selfridge's D differ from the benchmark's
+    *(["count", "--k", str(k), "--checkpoints",
+       "1000000000000000,1000000000000000000,18446744073709551615"] for k in (3, 7, -17)),
 ]
 
 

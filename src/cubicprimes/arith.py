@@ -225,16 +225,6 @@ class _Montgomery:
         r = a - b
         return np.where(a < b, r + self.n, r)
 
-    def small(self, c: np.ndarray) -> np.ndarray:
-        """The form of small signed integers c, 0 < |c| < n, by doubling
-        and adding R mod n over the bits of |c|."""
-        mag = np.abs(c).astype(np.uint64)
-        x = np.zeros_like(self.n)
-        for bit in range(int(mag.max()).bit_length() - 1, -1, -1):
-            x = self.add(x, x)
-            x = np.where((mag >> bit) & 1 == 1, self.add(x, self.one), x)
-        return np.where(c < 0, self.n - x, x)
-
 
 def _two_adic(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(s, d) with m = d * 2^s and d odd, for nonzero even m in uint64;
@@ -326,52 +316,82 @@ def _is_power(n: np.ndarray, q: int) -> np.ndarray:
     return root == n
 
 
+@lru_cache(maxsize=None)
+def _inverse_table(q: int) -> np.ndarray:
+    """1/b mod q for b = 0..q-1 (0 where gcd(b, q) > 1), as uint64."""
+    return np.array([pow(b, -1, q) if math.gcd(b, q) == 1 else 0 for b in range(q)], np.uint64)
+
+
+def _div_small(c: np.ndarray, n: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """c / q mod n for c in [0, n), odd n and small signed q prime to n.
+    With n = |q| a + b, c = |q| e + f and t = -f / b mod |q|, c + t n is a
+    multiple of |q| below |q| n, so e + t a + (f + t b) / |q| is in [0, n)."""
+    mag = np.abs(q)
+    out = np.empty_like(n)
+    for a in set(mag.tolist()):  # not np.unique: its first call adds 1.6 MB of RSS
+        i = mag == a
+        b, f = n[i] % a, c[i] % a
+        t = (a - f) * _inverse_table(a)[b] % a
+        out[i] = c[i] // a + t * (n[i] // a) + (f + t * b) // a
+    return np.where(q < 0, (n - out) % n, out)
+
+
 def _strong_lucas(n: np.ndarray) -> np.ndarray:
     """Strong Lucas probable-prime verdicts for odd n > 37 with no prime
     factor up to 37, with Selfridge's parameters P = 1, Q = (1 - D)/4.
 
-    Squares are composite. Otherwise, with n + 1 = d * 2^s and d odd, n
-    passes when U_d = 0 or V_{d*2^r} = 0 mod n for some 0 <= r < s. A
-    ladder holds (V_k, V_{k+1}, Q^k) in Montgomery form and runs from k = 0
-    up the bits of d. A clear bit takes k to 2k:
-        (V_k^2 - 2Q^k, V_k V_{k+1} - Q^k, (Q^k)^2),
-    and a set bit takes k to 2k + 1:
-        (V_k V_{k+1} - Q^k, V_{k+1}^2 - 2Q^{k+1}, Q^k Q^{k+1}),
-    so each bit costs one square and three products. U_d is never formed:
-    D U_d = 2V_{d+1} - P V_d, and D is a unit mod n when (D/n) = -1, so
-    U_d = 0 exactly when 2V_{d+1} = V_d mod n.
+    Squares are composite, and so is n when gcd(Q, n) > 1. Otherwise, with
+    n + 1 = d * 2^s and d = 2m + 1, n passes when U_d = 0 or V_{d*2^r} = 0
+    mod n for some 0 <= r < s.
+
+    The roots a, b of x^2 - Px + Q give a/b and b/a with product 1 and
+    sum P' = P^2/Q - 2, so V_2k = Q^k W_k with W_k = V_k(P', 1) (Crandall
+    and Pomerance, Prime Numbers, 3.6). A ladder holds (W_k, W_{k+1}) in
+    Montgomery form from (2, P') up the bits of m, at one square and one
+    product a bit: a clear bit takes k to 2k, (W_k^2 - 2, W_k W_{k+1} - P'),
+    and a set bit to 2k + 1, (W_k W_{k+1} - P', W_{k+1}^2 - 2). Expanding,
+    Q^(m+1) (W_{m+1} - W_m) = D U_d and Q^(m+1) (W_{m+1} + W_m) = P V_d.
+    D is a unit as (D/n) = -1, and Q is one by the gcd, so
+        U_d = 0 iff W_{m+1} = W_m,   V_d = 0 iff W_m + W_{m+1} = 0,
+    and V_{d*2^r} = 0 iff W_{d*2^(r-1)} = 0 for 1 <= r < s, from
+    W_d = W_m W_{m+1} - P' on by W -> W^2 - 2. A composite n stops the D
+    search by |D| = p, its least prime factor, so |Q| <= (p + 1)/4 < p and
+    Q is prime to n.
     """
     verdict = np.zeros(n.size, dtype=bool)
     idx = np.flatnonzero(~_is_power(n, 2))
     D = _selfridge(n[idx])
-    idx, D = idx[D != 0], D[D != 0]
+    Q = (1 - D) // 4
+    # D = 0 (n shown composite) gives Q = 0, so gcd(Q, n) = n drops it too
+    keep = np.gcd(n[idx], np.abs(Q).astype(np.uint64)) == 1
+    idx, Q = idx[keep], Q[keep]
     if not idx.size:
         return verdict
     n = n[idx]
     mont = _Montgomery(n)
-    qm = mont.small((1 - D) // 4)
+    two = mont.add(mont.one, mont.one)
+    p = mont.sub(_div_small(mont.one, n, Q), two)
     s, d = _two_adic(n + 1)  # n + 1 < 2^64: 2^64 - 1 is divisible by 3
-    v, v1, qk = mont.add(mont.one, mont.one), mont.one, mont.one
-    for bit in range(int(d.max()).bit_length() - 1, -1, -1):
-        up = (d >> bit) & 1 == 1
-        cross = mont.sub(mont.mul(v, v1), qk)
-        qa = np.where(up, mont.mul(qk, qm), qk)
-        square = mont.sub(mont.sqr(np.where(up, v1, v)), mont.add(qa, qa))
-        qk = mont.mul(qk, qa)
-        v, v1 = np.where(up, cross, square), np.where(up, square, cross)
-    passed = (mont.add(v1, v1) == v) | (v == 0)
-    # V_{d*2^j} for j = 1 .. s - 1, on the values not yet decided
+    m = d >> 1
+    w, w1 = two, p
+    for bit in range(int(m.max()).bit_length() - 1, -1, -1):
+        up = (m >> bit) & 1 == 1
+        cross = mont.sub(mont.mul(w, w1), p)
+        square = mont.sub(mont.sqr(np.where(up, w1, w)), two)
+        w, w1 = np.where(up, cross, square), np.where(up, square, cross)
+    passed = (w == w1) | (mont.add(w, w1) == 0)
+    # W_{d*2^(j-1)} for j = 1 .. s - 1, on the values not yet decided
     live = np.flatnonzero(~passed & (s > 1))
-    mont, v, qk, s = mont.take(live), v[live], qk[live], s[live]
+    mont, s = mont.take(live), s[live]
+    w = mont.sub(mont.mul(w[live], w1[live]), p[live])
     j = 1
     while live.size:
-        v = mont.sub(mont.sqr(v), mont.add(qk, qk))
-        qk = mont.sqr(qk)
-        hit = v == 0
+        hit = w == 0
         passed[live[hit]] = True
         j += 1
         keep = ~hit & (s > j)
-        live, v, qk, s, mont = live[keep], v[keep], qk[keep], s[keep], mont.take(keep)
+        live, w, s, mont = live[keep], w[keep], s[keep], mont.take(keep)
+        w = mont.sub(mont.sqr(w), mont.add(mont.one, mont.one))
     verdict[idx] = passed
     return verdict
 
@@ -379,7 +399,8 @@ def _strong_lucas(n: np.ndarray) -> np.ndarray:
 def _is_prime_odd_batch(n: np.ndarray) -> np.ndarray:
     """Baillie-PSW verdicts for odd n > 37 with no prime factor up to 37
     in uint64: a strong base-2 test, then a strong Lucas test on the
-    values that pass it. No composite below 2^64 passes both."""
+    values that pass it. No composite below 2^64 passes both. The Lucas
+    test runs on V_k(P^2/Q - 2, 1), as V_2k = Q^k V_k(P^2/Q - 2, 1)."""
     verdict = _strong_base2(n)
     idx = np.flatnonzero(verdict)
     verdict[idx] = _strong_lucas(n[idx])

@@ -22,7 +22,7 @@ from cubicprimes import (
     von_mangoldt,
 )
 from cubicprimes import arith
-from cubicprimes.arith import _strong_base2, _strong_lucas, is_prime_batch
+from cubicprimes.arith import _div_small, _strong_base2, _strong_lucas, is_prime_batch
 from cubicprimes.counting import _alive, _prescreen, max_index, min_index
 
 
@@ -175,10 +175,11 @@ def deadline(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-# The strong Lucas pseudoprimes below 60000 for Selfridge's parameters
-# (OEIS A217255); every prime factor of each is above 37.
+# The strong Lucas pseudoprimes below 2 * 10^5 for Selfridge's parameters
+# with every prime factor above 37 (OEIS A217255 without 155819 = 19*59*139).
 STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309,
-                             58519]
+                             58519, 75077, 97439, 100127, 113573, 115639, 130139, 158399,
+                             161027, 162133, 176399, 176471, 189419, 192509, 197801]
 
 
 class TestPrimalityBatch:
@@ -228,14 +229,40 @@ class TestPrimalityBatch:
         lucas = _strong_lucas(np.array(STRONG_LUCAS_PSEUDOPRIMES, dtype=np.uint64))
         assert lucas.all()
 
-    def test_lucas_stage_below_60000(self):
+    def test_lucas_stage_below_2e5(self):
         # the Lucas stage alone passes the primes and exactly the listed
         # pseudoprimes, so its D choice and its chain are Selfridge's
-        n = [v for v in range(41, 60000, 2) if all(v % p for p in arith._SMALL_PRIMES)]
+        n = [v for v in range(41, 2 * 10**5, 2) if all(v % p for p in arith._SMALL_PRIMES)]
         passed = _strong_lucas(np.array(n, dtype=np.uint64))
         assert [v for v, ok in zip(n, passed) if ok and not is_prime(v)] == \
             STRONG_LUCAS_PSEUDOPRIMES
         assert all(ok for v, ok in zip(n, passed) if is_prime(v))
+
+    def test_mersenne_forms(self):
+        # n + 1 = 2^s leaves d = 1, so the Lucas ladder runs over no bit;
+        # 3 * 2^s - 1 sends values far down the V_{d*2^r} steps
+        mersenne = [2**s - 1 for s in range(6, 65)]
+        batch_equals_scalar(mersenne + [3 * 2**s - 1 for s in range(1, 63)])
+        assert [s for s, v in enumerate(mersenne, 6) if is_prime(v)] == [7, 13, 17, 19, 31, 61]
+        assert _strong_lucas(np.array([2**31 - 1, 2**61 - 1], dtype=np.uint64)).all()
+
+    def test_div_small_matches_modular_inverse(self):
+        # the Lucas parameter needs R / Q mod n, with R = 2^64
+        rng = random.Random(19)
+        ns = [rng.randrange(2**63, 2**64) | 1 for _ in range(2000)]
+        ns += [rng.randrange(3, 2**40) | 1 for _ in range(200)]
+        qs = [*range(-64, 0), *range(1, 65)]
+        for q in qs:
+            n = [v for v in ns if math.gcd(q, v) == 1]
+            for c in ([2**64 % v for v in n], [1] * len(n)):
+                got = _div_small(np.array(c, dtype=np.uint64), np.array(n, dtype=np.uint64),
+                                 np.full(len(n), q))
+                assert got.tolist() == [pow(q, -1, v) * x % v for v, x in zip(n, c)]
+        # one batch mixing every q, as the Lucas test has it
+        q = [rng.choice([q for q in qs if math.gcd(q, v) == 1]) for v in ns]
+        c = [2**64 % v for v in ns]
+        got = _div_small(np.array(c, dtype=np.uint64), np.array(ns, dtype=np.uint64), np.array(q))
+        assert got.tolist() == [pow(a, -1, v) * x % v for v, a, x in zip(ns, q, c)]
 
     def test_base2_pseudoprime_squares(self):
         # the Wieferich primes 1093 and 3511 make their squares strong
