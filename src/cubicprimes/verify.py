@@ -234,10 +234,12 @@ def _rho_scan(k: int, qs: np.ndarray) -> np.ndarray:
     """The roots of x^3 + k mod each q of the nonempty ascending qs, as
     int64, counted by an exhaustive scan of x in [0, q) against one exact
     table of cubes. The table ends at x = qs[-1] - 1, whose cube is exact
-    in int64 while qs[-1] <= 2^21 (RHO_SCAN_BUDGET is far below)."""
+    in int64 while qs[-1] <= 2^21 (RHO_SCAN_BUDGET is far below). Each
+    residue is taken as c - c // q * q: numpy divides int64 by a scalar
+    with a precomputed reciprocal, several times faster than its %."""
     cubes = np.arange(qs[-1], dtype=np.int64) ** 3
-    return np.array([np.count_nonzero(cubes[:q] % q == -k % q) for q in qs.tolist()],
-                    dtype=np.int64)
+    return np.array([np.count_nonzero(cubes[:q] - cubes[:q] // q * q == -k % q)
+                     for q in qs.tolist()], dtype=np.int64)
 
 
 def rho_against_scan(q_max: int, k: int = 2) -> CheckResult:

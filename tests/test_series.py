@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cubicprimes import (
     QuadraticForm,
     ResourceError,
     dirichlet_partial_sum,
+    enumerate_dset,
     epstein_mu_sum,
     epstein_r,
     epstein_zeta_partial,
@@ -22,6 +24,17 @@ from cubicprimes import (
 SQUARES = QuadraticForm(1, 0, 1)
 RESIDUE = QuadraticForm(1, 0, 27)
 NONRESIDUE = QuadraticForm(4, 2, 7)
+
+
+def _peak_bytes(fn) -> int:
+    """tracemalloc peak of one call, after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestDirichletPartialSum:
@@ -71,6 +84,29 @@ class TestDirichletPartialSum:
             epstein_zeta_partial(RESIDUE, s, 100)
         with pytest.raises(DomainError):
             epstein_mu_sum(RESIDUE, s, 100)
+
+    @pytest.mark.parametrize("k", [2, -128])
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.0, 400.0])
+    def test_bit_equal_to_term_expression(self, k, s):
+        # the in-place terms against mu * log(n) / n^s as one expression;
+        # compared by hex so that -0.0 != +0.0 (at s = 400, n^s overflows)
+        x = 10**5
+        members = enumerate_dset(k, x)
+        mu = sieve_range(x).mu[members]
+        members, mu = members[mu != 0], mu[mu != 0].astype(np.float64)
+        vals = members.astype(np.float64)
+        with np.errstate(over="ignore"):
+            running = np.cumsum(mu * np.log(vals) / vals**s)
+        cps = [1, 10, 97, 1000, 12345, x]
+        got = dirichlet_partial_sum(k, s, x, cps)
+        for rec in got:
+            idx = int(np.searchsorted(members, rec.x, side="right"))
+            assert rec.value.hex() == float(running[idx - 1]).hex()
+
+    def test_byte_budget(self):
+        # the sieve, the member list and two float buffers (log terms and
+        # n^s); a third float buffer, or a float mu, breaks the bound
+        assert _peak_bytes(lambda: dirichlet_partial_sum(2, 1.0, 10**6)) <= 8_000_000
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -173,10 +209,23 @@ class TestRepresentationCounts:
     def test_matches_per_n_oracle(self):
         for form in (SQUARES, RESIDUE, NONRESIDUE):
             counts = representation_counts(form, 200)
-            assert counts.dtype == np.int32
+            assert counts.dtype == np.int16
             assert counts[0] == 0
             for n in range(1, 201):
                 assert counts[n] == epstein_r(form, n)
+
+    def test_wide_row_bound_takes_int32(self):
+        # (10001, 200, 1) has discriminant -4, so it is u^2 + v^2 in other
+        # coordinates; its sweep has 2 * 10000 + 1 rows at 10^4, so its
+        # bound 4 ymax + 2 = 40,002 passes int16
+        wide = representation_counts(QuadraticForm(10001, 200, 1), 10**4)
+        assert wide.dtype == np.int32
+        np.testing.assert_array_equal(wide, representation_counts(SQUARES, 10**4))
+
+    def test_byte_budget(self):
+        # 2 B per entry at 10^6 plus the sweep's rows; int32 counts alone
+        # would take 4 MB
+        assert _peak_bytes(lambda: representation_counts(RESIDUE, 10**6)) <= 2_500_000
 
 
 class TestEpsteinMuSumNonzeroTerms:
