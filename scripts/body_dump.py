@@ -98,6 +98,10 @@ COMMANDS = [
     # mix of Selfridge's D differ from the benchmark's
     *(["count", "--k", str(k), "--checkpoints",
        "1000000000000000,1000000000000000000,18446744073709551615"] for k in (3, 7, -17)),
+    # Mobius sums with int32 counts, where the signs are applied in place,
+    # and with a form that represents no n = 1
+    ["epstein", "--form", "10001,200,1", "--s", "400", "--mu", "--x", "10000"],
+    ["epstein", "--form", "2,1,3", "--s", "1", "--mu", "--x", "100000"],
 ]
 
 

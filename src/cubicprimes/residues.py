@@ -12,8 +12,9 @@ and is tested against gauss_classify.
 The Euler test, and with it the root count rho_p of x^3 + k mod p, has two
 forms: _rho_prime takes one prime with Python's pow and is the reference
 route for every single-prime caller; _rho_primes takes an int64 array of
-primes in one square-and-multiply pass, for enumerate_dset, singular_series,
-the form-split check and the rho check, and is tested against _rho_prime.
+primes in square-and-multiply passes over chunks of it, for enumerate_dset,
+singular_series, the form-split check and the rho check, and is tested
+against _rho_prime.
 _cube_roots finds the roots themselves over such an array, for the
 count walk's progression sieve, and is tested against the scan roots_mod,
 which stays the oracle behind rho_bruteforce. Both reduce k mod every
@@ -254,19 +255,26 @@ def _pow_mod(base: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
     return power
 
 
+_RHO_CHUNK = 1 << 15  # primes per pass: each int64 temporary is 256 KB
+
+
 def _rho_primes(k: int, primes: np.ndarray) -> np.ndarray:
     """_rho_prime over an int64 array of primes <= SIEVE_LIMIT_MAX, as an
     int8 array: 1 where p | k or p != 1 mod 3, else 3 or 0 by Euler's test.
 
     The test is taken on |k|: -1 = (-1)^3 is a cube, so -k is a cube mod p
-    iff |k| is. k may be any Python int (see _residues).
+    iff |k| is. k may be any Python int (see _residues). The primes are
+    taken _RHO_CHUNK at a time, so the residues and powers are never
+    full-length int64 arrays.
     """
     p = np.asarray(primes, dtype=np.int64)
-    a = _residues(abs(k), p)
     rho = np.ones(p.shape, dtype=np.int8)
-    split = np.flatnonzero((p % 3 == 1) & (a != 0))
-    q = p[split]
-    rho[split] = np.where(_pow_mod(a[split], (q - 1) // 3, q) == 1, 3, 0)
+    for lo in range(0, p.size, _RHO_CHUNK):
+        chunk = p[lo : lo + _RHO_CHUNK]
+        a = _residues(abs(k), chunk)
+        split = np.flatnonzero((chunk % 3 == 1) & (a != 0))
+        q = chunk[split]
+        rho[lo + split] = np.where(_pow_mod(a[split], (q - 1) // 3, q) == 1, 3, 0)
     return rho
 
 

@@ -19,6 +19,7 @@ from .errors import DomainError, ResourceError
 from .residues import QuadraticForm
 
 EPSTEIN_BUDGET = 10**7
+_NONZERO_BLOCK = 1 << 16  # counts scanned per bool mask in epstein_mu_sum
 
 
 @dataclass(frozen=True)
@@ -136,8 +137,8 @@ def _ymax(form: QuadraticForm, n_max: int) -> int:
 
 
 def _lattice_rows(form: QuadraticForm, n_max: int):
-    """Yield (y, q_row) for every lattice row intersecting form <= n_max;
-    q_row holds the exact form values with 1 <= value <= n_max."""
+    """Yield q_row for every lattice row y intersecting form <= n_max:
+    the exact form values with 1 <= value <= n_max."""
     a, b, c = form.a, form.b, form.c
     neg_disc = -form.discriminant
     ymax = _ymax(form, n_max)
@@ -148,7 +149,7 @@ def _lattice_rows(form: QuadraticForm, n_max: int):
         xhi = (-b * y + t) // (2 * a) + 1
         xs = np.arange(xlo, xhi + 1, dtype=np.int64)
         q = a * xs * xs + b * xs * y + c * y * y
-        yield y, q[(q >= 1) & (q <= n_max)]
+        yield q[(q >= 1) & (q <= n_max)]
 
 
 def epstein_zeta_partial(form: QuadraticForm, s: float, n_max: int) -> float:
@@ -164,7 +165,7 @@ def epstein_zeta_partial(form: QuadraticForm, s: float, n_max: int) -> float:
     if n_max > EPSTEIN_BUDGET:
         raise ResourceError(f"n_max {n_max} exceeds budget {EPSTEIN_BUDGET}")
     total = 0.0
-    for _, q in _lattice_rows(form, n_max):
+    for q in _lattice_rows(form, n_max):
         if q.size:
             total += float(np.power(q.astype(np.float64), -s).sum())
     return total
@@ -187,7 +188,7 @@ def representation_counts(form: QuadraticForm, n_max: int) -> np.ndarray:
     fits16 = 4 * _ymax(form, n_max) + 2 <= np.iinfo(np.int16).max
     one = np.int16(1) if fits16 else np.int32(1)
     counts = np.zeros(n_max + 1, dtype=one.dtype)
-    for _, q in _lattice_rows(form, n_max):
+    for q in _lattice_rows(form, n_max):
         if q.size:
             np.add.at(counts, q, one)
     return counts
@@ -196,6 +197,13 @@ def representation_counts(form: QuadraticForm, n_max: int) -> np.ndarray:
 def epstein_mu_sum(form: QuadraticForm, s: float, n_max: int) -> float:
     """sum over n <= n_max of mu(n) r(n) / n^s (finite s >= 1); empty when
     n_max = 0.
+
+    The Mobius sieve runs first, before the counts exist, and only its int8
+    mu is kept. The lattice sweep then builds the counts r(n), and the signs
+    are applied to them in place: |mu(n) r(n)| <= r(n) fits the counts'
+    dtype, and mu is freed before the terms are formed, so no full-length
+    mask sits next to the counts. Each term is float(mu(n) r(n)) / n^s,
+    which equals float(mu(n)) * r(n) / n^s exactly.
 
     Only n = 1 and the n with mu(n) r(n) != 0 are added, in ascending n, by
     one left-to-right np.cumsum. The n = 1 term r(1) is +0.0 or positive, so
@@ -211,13 +219,18 @@ def epstein_mu_sum(form: QuadraticForm, s: float, n_max: int) -> float:
         raise DomainError("n_max must be >= 0")
     if n_max == 0:
         return 0.0
-    counts = representation_counts(form, n_max)
     mu = sieve_range(max(n_max, 2)).mu[: n_max + 1]
-    keep = mu != 0
-    np.logical_and(keep, counts, out=keep)  # in place: no second mask
-    keep[1] = True
-    ns = np.flatnonzero(keep)
-    del keep
+    signed = representation_counts(form, n_max)
+    signed *= mu
+    del mu
+    # np.flatnonzero runs about three times as fast on a bool mask as on
+    # int16; one block's mask at a time keeps a full-length one off the counts
+    ns = np.concatenate([np.flatnonzero(signed[lo : lo + _NONZERO_BLOCK] != 0) + lo
+                         for lo in range(0, signed.size, _NONZERO_BLOCK)])
+    if not signed[1]:
+        ns = np.concatenate(([1], ns))
+    terms = signed[ns].astype(np.float64)
+    del signed
     with np.errstate(over="ignore"):  # n^s = inf makes the term 0, as it should
-        terms = mu[ns].astype(np.float64) * counts[ns] / ns.astype(np.float64) ** s
+        terms /= ns.astype(np.float64) ** s
     return float(np.cumsum(terms)[-1])

@@ -177,7 +177,7 @@ def mangoldt_divisor_sum(n_max: int) -> CheckResult:
 def _form_values(form: QuadraticForm, n_max: int) -> np.ndarray:
     """A bool array over 0..n_max, True at every value the form takes."""
     flags = np.zeros(n_max + 1, dtype=bool)
-    for _, q in _lattice_rows(form, n_max):
+    for q in _lattice_rows(form, n_max):
         flags[q] = True
     return flags
 
@@ -236,10 +236,20 @@ def _rho_scan(k: int, qs: np.ndarray) -> np.ndarray:
     table of cubes. The table ends at x = qs[-1] - 1, whose cube is exact
     in int64 while qs[-1] <= 2^21 (RHO_SCAN_BUDGET is far below). Each
     residue is taken as c - c // q * q: numpy divides int64 by a scalar
-    with a precomputed reciprocal, several times faster than its %."""
+    with a precomputed reciprocal, several times faster than its %. The
+    quotient, product and residue are written in turn into the first q
+    entries of one int64 buffer as long as the table, so a modulus
+    allocates only the bool array of the comparison."""
     cubes = np.arange(qs[-1], dtype=np.int64) ** 3
-    return np.array([np.count_nonzero(cubes[:q] - cubes[:q] // q * q == -k % q)
-                     for q in qs.tolist()], dtype=np.int64)
+    buf = np.empty_like(cubes)
+    counts = np.empty(qs.size, dtype=np.int64)
+    for i, q in enumerate(qs.tolist()):
+        c, r = cubes[:q], buf[:q]
+        np.floor_divide(c, q, out=r)
+        r *= q
+        np.subtract(c, r, out=r)
+        counts[i] = np.count_nonzero(r == -k % q)
+    return counts
 
 
 def rho_against_scan(q_max: int, k: int = 2) -> CheckResult:

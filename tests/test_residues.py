@@ -21,7 +21,13 @@ from cubicprimes import (
     rho_bruteforce,
     roots_mod,
 )
-from cubicprimes.residues import _cube_roots, _rho_prime, _rho_primes, represent_by_form
+from cubicprimes.residues import (
+    _RHO_CHUNK,
+    _cube_roots,
+    _rho_prime,
+    _rho_primes,
+    represent_by_form,
+)
 
 
 def primes_one_mod_three(tables, lo, hi):
@@ -297,6 +303,12 @@ class TestRhoPrimes:
     def test_primes_just_below_1e9(self, k):
         assert np.any(self.BELOW_1E9 % 3 == 1)
         self.check(k, self.BELOW_1E9)
+
+    @pytest.mark.parametrize("k", [2, -54, 2**64 + 5])
+    def test_more_than_two_chunks(self, k):
+        primes = primes_up_to(10**6)  # 78,498 primes
+        assert primes.size > 2 * _RHO_CHUNK
+        self.check(k, primes)
 
     def test_empty(self):
         assert _rho_primes(2, np.empty(0, dtype=np.int64)).size == 0

@@ -231,10 +231,8 @@ class TestRepresentationCounts:
 class TestEpsteinMuSumNonzeroTerms:
     """The nonzero-term sum against a cumulative sum over every n."""
 
-    @pytest.mark.parametrize("form", [RESIDUE, NONRESIDUE])
-    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 400.0])
-    @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 10, 97, 10**4, 10**5])
-    def test_mu_sum_bit_equal_to_full_length_cumsum(self, form, s, n_max):
+    @staticmethod
+    def check(form, s, n_max):
         # compared by hex so that -0.0 != +0.0: at s = 400, n^s overflows
         # from n = 6 on and every later term is a signed zero
         mu = sieve_range(max(n_max, 2)).mu[: n_max + 1].astype(np.float64)
@@ -244,6 +242,18 @@ class TestEpsteinMuSumNonzeroTerms:
             terms = mu * representation_counts(form, n_max) / ns**s
         expected = float(np.cumsum(terms[1:])[-1])
         assert epstein_mu_sum(form, s, n_max).hex() == expected.hex()
+
+    @pytest.mark.parametrize("form", [RESIDUE, NONRESIDUE])
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 400.0])
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 10, 97, 10**4, 10**5])
+    def test_mu_sum_bit_equal_to_full_length_cumsum(self, form, s, n_max):
+        self.check(form, s, n_max)
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 400.0])
+    def test_int32_counts(self, s):
+        # (10001, 200, 1) sweeps 2 * 10000 + 1 rows at 10^4, past the int16
+        # row bound, so the signs go onto int32 counts
+        self.check(QuadraticForm(10001, 200, 1), s, 10**4)
 
 
 class TestEpsteinMuSum:
@@ -261,6 +271,11 @@ class TestEpsteinMuSum:
             epstein_mu_sum(SQUARES, 0.5, 100)
         with pytest.raises(DomainError):
             epstein_mu_sum(SQUARES, 2.0, -1)
+
+    def test_byte_budget(self):
+        # the signs go onto the int16 counts (2 MB at 10^6) in place, beside
+        # the 1 MB int8 mu and no mask
+        assert _peak_bytes(lambda: epstein_mu_sum(RESIDUE, 1.0, 10**6)) <= 3_500_000
 
     def test_against_direct_sum(self, tables_small):
         n_max = 500
