@@ -102,6 +102,14 @@ COMMANDS = [
     # and with a form that represents no n = 1
     ["epstein", "--form", "10001,200,1", "--s", "400", "--mu", "--x", "10000"],
     ["epstein", "--form", "2,1,3", "--s", "1", "--mu", "--x", "100000"],
+    # checkpoints one index below, at and above the walk's first segment edge
+    # and the edge three segments on, so that the split walk's shares end
+    # inside a bound's spans and next to spans of one index
+    *(["count", "--k", str(k), "--checkpoints",
+       ",".join(str(n**3 + k) for n in (f + 2**16 - 1, f + 2**16, f + 2**16 + 1,
+                                         f + 3 * 2**16 - 1, f + 3 * 2**16,
+                                         f + 3 * 2**16 + 1, f + 4 * 2**16 + 99))]
+      for k, f in ((2, 0), (-17, 3))),  # f = min_index(k)
 ]
 
 

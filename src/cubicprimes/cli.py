@@ -117,11 +117,11 @@ def _cmd_count(args: argparse.Namespace) -> OutputTable:
     checkpoints = args.checkpoints or ([args.x] if args.x is not None else None)
     if not checkpoints:
         raise DomainError("count needs --x or --checkpoints")
-    records = count_table(args.k, checkpoints, p_cutoff=args.pmax)
+    extra = {"k": args.k}
+    records = count_table(args.k, checkpoints, p_cutoff=args.pmax, stats=extra)
     rows = [(r.x, r.observed, r.predicted, r.ratio, r.p_cutoff) for r in records]
     return OutputTable(
-        "count", ("x", "observed", "predicted", "ratio", "p_cutoff"), rows,
-        extra={"k": args.k})
+        "count", ("x", "observed", "predicted", "ratio", "p_cutoff"), rows, extra=extra)
 
 
 def _cmd_constant(args: argparse.Namespace) -> OutputTable:

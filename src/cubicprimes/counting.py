@@ -17,15 +17,16 @@ log v on a certified prime, log p on a certified p^e and 0 elsewhere,
 without factorising. The predicted side is the truncated
 product over primes p of 1 - (rho_p - 1)/(p - 1), rho_p the number of
 roots of x^3 + k mod p, times x^(1/3)/log x.
-Everything here is deterministic: terms are taken in ascending n.
+Everything here is deterministic: terms are taken in ascending n, and
+counts add the segment counts of forked workers in that order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, partial
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -170,8 +171,10 @@ def _prescreen(k: int, bound: int) -> _Sieve:
     primes = primes_up_to(bound)
     i, r = _cube_roots(k, primes)
     first = min_index(k)
-    own = tuple(n for n in range(first, _first_index_at_least(k, bound + 1))
-                if n**3 + k in primes)
+    ns = range(first, _first_index_at_least(k, bound + 1))
+    values = np.array([n**3 + k for n in ns], dtype=np.int64)  # each in [2, bound]
+    at = np.minimum(np.searchsorted(primes, values), primes.size - 1)
+    own = tuple(n for n, hit in zip(ns, (primes[at] == values).tolist()) if hit)
     return _Sieve(primes[i], r, first, own)
 
 
@@ -233,39 +236,59 @@ def _cubes(n: np.ndarray, lo: int, k: int) -> np.ndarray:
     return v
 
 
-def _segments(k: int, lo: int, bounds: list[int], primes: bool = True, powers: bool = False):
-    """Walk n from lo through the ascending index bounds in 65536-index
-    segments. Yield (lo, prime, power) for each segment of n from lo, where
-    prime marks the values n^3 + k that are prime (when primes is set) and
-    power those that are exact q-th powers for a prime q (when powers is
-    set), and None on reaching each bound.
-
-    Each segment's sieve survivors are formed as uint64 values and
-    certified by one Baillie-PSW is_prime_batch call. On the power path
-    every value of the segment is formed, and _is_power marks the exact
-    q-th powers for each prime q below the largest value's bit length;
-    _walk finds each one's base and certifies it.
-    """
-    prescreen = _prescreen(k, _prescreen_bound(bounds[-1] - lo + 1)) if primes else None
-    for b in bounds:
+def _spans(lo: int, bounds: list[int]) -> list[tuple[int, int, int]]:
+    """The walk's segments from lo through the ascending index bounds:
+    (lo, hi, i) for each run of at most 65536 indices, i the position in
+    bounds of the first bound >= hi. A bound below the walk adds none."""
+    spans = []
+    for i, b in enumerate(bounds):
         while lo <= b:
             hi = min(lo + _SEGMENT - 1, b)
-            size = hi - lo + 1
-            prime = np.zeros(size, dtype=bool)
-            power = np.zeros(size, dtype=bool)
-            if primes:
-                alive = np.flatnonzero(_alive(lo, hi, prescreen))
-                prime[alive] = is_prime_batch(_cubes(alive.astype(np.uint64), lo, k))
-            if powers:
-                values = _cubes(np.arange(size, dtype=np.uint64), lo, k)
-                bits = (hi**3 + k).bit_length()
-                for q in _ROOT_EXPONENTS:
-                    if q >= bits:
-                        break
-                    power |= _is_power(values, q)
-                del values
-            yield lo, prime, power
+            spans.append((lo, hi, i))
             lo = hi + 1
+    return spans
+
+
+def _prime_mask(k: int, lo: int, hi: int, prescreen: _Sieve) -> np.ndarray:
+    """Marks the n in [lo, hi] whose value n^3 + k is prime: the sieve
+    survivors, formed as uint64 values and certified by one Baillie-PSW
+    is_prime_batch call. Ufuncs only (no BLAS): forked workers run it."""
+    prime = np.zeros(hi - lo + 1, dtype=bool)
+    alive = np.flatnonzero(_alive(lo, hi, prescreen))
+    prime[alive] = is_prime_batch(_cubes(alive.astype(np.uint64), lo, k))
+    return prime
+
+
+def _segments(k: int, lo: int, bounds: list[int], primes: bool = True, powers: bool = False):
+    """Walk n from lo through the ascending index bounds over _spans.
+    Yield (lo, prime, power) for each segment of n from lo, where prime is
+    the segment's _prime_mask (when primes is set) and power marks the
+    values n^3 + k that are exact q-th powers for a prime q (when powers is
+    set), and None on reaching each bound.
+
+    On the power path every value of the segment is formed, and _is_power
+    marks the exact q-th powers for each prime q below the largest value's
+    bit length; _walk finds each one's base and certifies it.
+    """
+    prescreen = _prescreen(k, _prescreen_bound(bounds[-1] - lo + 1)) if primes else None
+    reached = 0
+    for lo, hi, i in _spans(lo, bounds):
+        for _ in range(reached, i):
+            yield None
+        reached = i
+        size = hi - lo + 1
+        prime = _prime_mask(k, lo, hi, prescreen) if primes else np.zeros(size, dtype=bool)
+        power = np.zeros(size, dtype=bool)
+        if powers:
+            values = _cubes(np.arange(size, dtype=np.uint64), lo, k)
+            bits = (hi**3 + k).bit_length()
+            for q in _ROOT_EXPONENTS:
+                if q >= bits:
+                    break
+                power |= _is_power(values, q)
+            del values
+        yield lo, prime, power
+    for _ in range(reached, len(bounds)):
         yield None
 
 
@@ -289,16 +312,43 @@ def _walk(k: int, lo: int, bounds: list[int], primes: bool = True, powers: bool 
                     yield n, v, p
 
 
-def _running_counts(k: int, bounds: list[int]) -> list[int]:
+def _shares(spans: list[tuple[int, int, int]], workers: int) -> list[list[tuple[int, int, int]]]:
+    """The spans in at most workers contiguous runs of about equal index
+    count (the spans that end at small checkpoints are short): each span
+    joins the run its middle index falls in."""
+    first, total = spans[0][0], spans[-1][1] - spans[0][0] + 1
+    runs = [[] for _ in range(workers)]
+    for span in spans:
+        runs[(span[0] + span[1] - 2 * first) * workers // (2 * total)].append(span)
+    return [run for run in runs if run]
+
+
+def _span_counts(k: int, prescreen: _Sieve, share: list[tuple[int, int, int]]):
+    """The number of primes in each span of share, one span at a time."""
+    for lo, hi, _ in share:
+        yield int(np.count_nonzero(_prime_mask(k, lo, hi, prescreen)))
+
+
+def _running_counts(k: int, bounds: list[int], stats: dict | None = None) -> list[int]:
     """Number of primes n^3 + k over n from min_index(k) up to each of the
-    ascending index bounds, in one walk."""
-    totals, running = [], 0
-    for segment in _segments(k, min_index(k), bounds):
-        if segment is None:
-            totals.append(running)
-        else:
-            running += int(np.count_nonzero(segment[1]))
-    return totals
+    ascending index bounds, in one walk whose spans are shared out among
+    forked.cpus() processes (forked.split_counts). stats, when given,
+    gets the processes used as "workers" and the spans as "segments"."""
+    from . import forked  # here, so that commands that never count never compile it
+
+    lo = min_index(k)
+    spans = _spans(lo, bounds)
+    counts, workers = [], 1
+    if spans:
+        shares = _shares(spans, min(forked.cpus(), len(spans)))
+        count = partial(_span_counts, k, _prescreen(k, _prescreen_bound(bounds[-1] - lo + 1)))
+        counts, workers = forked.split_counts(count, shares)
+    per_bound = [0] * len(bounds)
+    for (_, _, i), c in zip(spans, counts):
+        per_bound[i] += c
+    if stats is not None:
+        stats.update(workers=workers, segments=len(spans))
+    return list(accumulate(per_bound))
 
 
 def count_cubic_primes(k: int, x: int) -> int:
@@ -308,16 +358,18 @@ def count_cubic_primes(k: int, x: int) -> int:
     return _running_counts(k, [max_index(k, x)])[0]
 
 
-def enumerate_cubic_primes(k: int, n_max: int) -> list[tuple[int, int]]:
-    """All (n, n^3 + k) with the value prime, for n from min_index(k) to n_max.
+def enumerate_cubic_primes(k: int, n_max: int, n_min: int | None = None) -> list[tuple[int, int]]:
+    """All (n, n^3 + k) with the value prime, for n from n_min (default and
+    floor min_index(k)) to n_max.
 
     Every value goes to scalar is_prime, without the walk's sieve or batch
     certifier, so this is a route independent of count_cubic_primes.
     """
     if n_max >= 0 and n_max**3 + k > U64_MAX:
         raise CapacityError(f"n^3 + k at n = {n_max} exceeds the unsigned 64-bit value budget")
+    first = min_index(k) if n_min is None else max(n_min, min_index(k))
     out = []
-    for n in range(min_index(k), n_max + 1):
+    for n in range(first, n_max + 1):
         v = n * n * n + k
         if is_prime(v):
             out.append((n, v))
@@ -359,8 +411,10 @@ def _main_term(x: int) -> float:
     return float(x) ** (1.0 / 3.0) / math.log(x)
 
 
-def count_table(k: int, checkpoints: list[int], p_cutoff: int) -> list[CountRecord]:
-    """CountRecord per checkpoint, observed in one ascending pass."""
+def count_table(k: int, checkpoints: list[int], p_cutoff: int,
+                stats: dict | None = None) -> list[CountRecord]:
+    """CountRecord per checkpoint, observed in one ascending pass (see
+    _running_counts for stats)."""
     if not checkpoints:
         return []
     if sorted(checkpoints) != list(checkpoints):
@@ -370,7 +424,7 @@ def count_table(k: int, checkpoints: list[int], p_cutoff: int) -> list[CountReco
     if checkpoints[-1] > U64_MAX:
         raise CapacityError("checkpoint exceeds the unsigned 64-bit value budget")
     series = singular_series(k, p_cutoff)
-    observed = _running_counts(k, [max_index(k, x) for x in checkpoints])
+    observed = _running_counts(k, [max_index(k, x) for x in checkpoints], stats)
     records = []
     for x, running in zip(checkpoints, observed):
         predicted = series * _main_term(x)

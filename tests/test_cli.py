@@ -199,6 +199,34 @@ class TestCsvOutput:
         assert body_lines(out)[1] == "2,9,0,,0,"
 
 
+class TestCountMetadata:
+    """The walk's worker processes and segments go to the # block and the
+    JSON metadata, never to the body."""
+
+    HEADLINE = ["count", "--k", "2", "--checkpoints",
+                "1000000,1000000000,1000000000000,1000000000000000,1000000000000000000"]
+
+    def test_headline_walk(self, capsys):
+        assert cli.run(self.HEADLINE) == 0
+        out = capsys.readouterr().out
+        meta = dict(line[2:].split("=", 1) for line in out.splitlines() if line.startswith("#"))
+        assert meta["segments"] == "19"
+        assert int(meta["workers"]) >= 1
+        assert body_lines(out)[0] == "x,observed,predicted,ratio,p_cutoff"
+        _, payload = run_json(capsys, self.HEADLINE)
+        assert payload["metadata"]["segments"] == 19
+        assert payload["metadata"]["workers"] == int(meta["workers"])
+        assert payload["header"] == ["x", "observed", "predicted", "ratio", "p_cutoff"]
+
+    def test_one_segment_walk_has_one_worker(self, capsys):
+        argv = ["count", "--k", "2", "--x", "1000000000000"]
+        assert cli.run(argv) == 0
+        out = capsys.readouterr().out
+        assert "# workers=1" in out.splitlines() and "# segments=1" in out.splitlines()
+        _, payload = run_json(capsys, argv)
+        assert (payload["metadata"]["workers"], payload["metadata"]["segments"]) == (1, 1)
+
+
 class TestJsonOutput:
     def test_count_payload(self, capsys):
         code, payload = run_json(capsys, ["count", "--k", "2", "--x", "130"])

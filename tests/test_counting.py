@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 import random
 from functools import lru_cache
 from pathlib import Path
@@ -32,14 +34,17 @@ from cubicprimes import (
     singular_series,
     weighted_lambda_sum,
 )
-from cubicprimes import counting
+from cubicprimes import cli, counting, forked
 from cubicprimes.arith import U64_MAX, _is_power
 from cubicprimes.counting import (
     RHS_BUDGET,
     _ROOT_EXPONENTS,
+    _SEGMENT,
     _alive,
+    _first_index_at_least,
     _prescreen,
     _prime_power_base,
+    _running_counts,
     _walk,
 )
 from cubicprimes.residues import _rho_prime
@@ -129,6 +134,11 @@ class TestEnumerate:
 
     def test_shift_one(self):
         assert enumerate_cubic_primes(1, 1) == [(1, 2)]
+
+    def test_start_index(self):
+        assert enumerate_cubic_primes(2, 5, n_min=2) == [(3, 29), (5, 127)]
+        assert enumerate_cubic_primes(2, 5, n_min=-10) == enumerate_cubic_primes(2, 5)
+        assert enumerate_cubic_primes(2, 5, n_min=6) == []
 
 
 class TestCount:
@@ -249,6 +259,14 @@ class TestCountTable:
         # perfbench/reference.json is computed apart from the package
         [record] = count_table(k, [x], 100)
         assert record.observed == self.REFERENCE[str(k)][str(x)]
+
+    def test_last_window_below_2_64_equals_scalar_is_prime(self):
+        # the split walk to 2^64 - 1 against 7-base Miller-Rabin on each of
+        # the last 65,536 values, with no sieve and no batch certifier
+        hi = max_index(2, U64_MAX)
+        below, top = _running_counts(2, [hi - _SEGMENT, hi])
+        scalar = enumerate_cubic_primes(2, hi, n_min=hi - _SEGMENT + 1)
+        assert top - below == len(scalar) == 1871
 
     def test_single_pass_matches_individual_counts(self):
         records = count_table(2, [10**3, 10**5, 10**6], 100)
@@ -543,3 +561,118 @@ class TestSegmentedWalk:
             prime_power_tail(2, [10**6, 10**3])
         with pytest.raises(CapacityError):
             prime_power_tail(2, [10, 2**64])
+
+
+@lru_cache(maxsize=None)
+def prime_set(bound: int) -> frozenset[int]:
+    return frozenset(primes_up_to(bound).tolist())
+
+
+@pytest.mark.parametrize("bound", [10**5, 10**7])
+@pytest.mark.parametrize("k", [2, -17, 250])
+def test_prescreen_own_matches_its_definition(k, bound):
+    # the n from min_index(k) whose value n^3 + k is itself a sieve prime
+    stop = _first_index_at_least(k, bound + 1)
+    expected = tuple(n for n in range(min_index(k), stop) if n**3 + k in prime_set(bound))
+    assert _prescreen.__wrapped__(k, bound).own == expected
+    assert expected
+
+
+def edge_checkpoints(k: int) -> list[int]:
+    """Checkpoints whose index bounds sit just below, at and just above the
+    walk's first segment edge and the edge three segments on, then end 100
+    indices into a fifth segment: 9 spans, some of one index."""
+    first = min_index(k)
+    edges = (first + _SEGMENT, first + 3 * _SEGMENT)
+    ns = [e + d for e in edges for d in (-1, 0, 1)] + [first + 4 * _SEGMENT + 99]
+    return [n**3 + k for n in ns]
+
+
+class TestSplitWalk:
+    """The count walk split across forked processes: the same counts for
+    every worker count, every child reaped, and failures raised."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the children forked while the test runs."""
+        pids, fork = [], os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        return pids
+
+    @staticmethod
+    def force_workers(monkeypatch, workers: int) -> None:
+        monkeypatch.setattr(forked, "cpus", lambda: workers)
+
+    @pytest.mark.parametrize("k", [2, -17, 250])
+    def test_worker_counts_give_equal_records(self, k, monkeypatch, forks):
+        checkpoints = edge_checkpoints(k)
+        pid = os.getpid()
+        tables = []
+        for workers in (1, 2, 3):
+            self.force_workers(monkeypatch, workers)
+            stats = {}
+            tables.append(count_table(k, checkpoints, 100, stats))
+            assert stats == {"workers": workers, "segments": 9}
+        assert tables[0] == tables[1] == tables[2]
+        assert [r.observed for r in tables[0]] == [
+            count_cubic_primes(k, x) for x in checkpoints]
+        assert os.getpid() == pid
+        assert len(forks) >= 3  # 1 + 2 for the walks, more for some single counts
+        for child in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(child, os.WNOHANG)
+
+    def test_one_span_never_forks(self, monkeypatch, forks):
+        self.force_workers(monkeypatch, 2)
+        stats = {}
+        count_table(2, [10**14], 100, stats)
+        assert (stats, forks) == ({"workers": 1, "segments": 1}, [])
+
+    def test_failed_fork_counts_here(self, monkeypatch):
+        checkpoints = edge_checkpoints(2)
+        expected = count_table(2, checkpoints, 100)
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "fork refused")
+
+        self.force_workers(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", no_fork)
+        stats = {}
+        assert count_table(2, checkpoints, 100, stats) == expected
+        assert stats["workers"] == 1
+
+    @staticmethod
+    def fail_in_children(monkeypatch) -> None:
+        parent, prime_mask = os.getpid(), counting._prime_mask
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise MemoryError("segment lost")
+            return prime_mask(*args)
+
+        monkeypatch.setattr(counting, "_prime_mask", failing)
+
+    def test_failing_child_raises_resource_error(self, monkeypatch, forks):
+        self.force_workers(monkeypatch, 3)
+        self.fail_in_children(monkeypatch)
+        with pytest.raises(ResourceError):
+            count_table(2, edge_checkpoints(2), 100)
+        assert len(forks) == 2
+        for child in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(child, os.WNOHANG)
+
+    def test_failing_child_exits_three_without_traceback(self, monkeypatch, capfd):
+        self.force_workers(monkeypatch, 2)
+        self.fail_in_children(monkeypatch)
+        assert cli.run(["count", "--k", "2", "--x", str(10**15)]) == 3
+        err = capfd.readouterr().err
+        assert err.startswith("error: a count worker")
+        assert "Traceback" not in err
