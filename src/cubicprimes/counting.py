@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, combinations
 from typing import NamedTuple
 
@@ -171,10 +171,9 @@ def _prescreen(k: int, bound: int) -> _Sieve:
     primes = primes_up_to(bound)
     i, r = _cube_roots(k, primes)
     first = min_index(k)
-    ns = range(first, _first_index_at_least(k, bound + 1))
-    values = np.array([n**3 + k for n in ns], dtype=np.int64)  # each in [2, bound]
-    at = np.minimum(np.searchsorted(primes, values), primes.size - 1)
-    own = tuple(n for n, hit in zip(ns, (primes[at] == values).tolist()) if hit)
+    # each value lies in [2, bound], so it is a sieve prime iff it is prime
+    own = tuple(n for n in range(first, _first_index_at_least(k, bound + 1))
+                if is_prime(n**3 + k))
     return _Sieve(primes[i], r, first, own)
 
 
@@ -277,8 +276,8 @@ def _segments(k: int, lo: int, bounds: list[int], primes: bool = True, powers: b
             yield None
         reached = i
         size = hi - lo + 1
-        prime = _prime_mask(k, lo, hi, prescreen) if primes else np.zeros(size, dtype=bool)
         power = np.zeros(size, dtype=bool)
+        prime = _prime_mask(k, lo, hi, prescreen) if primes else np.zeros(size, dtype=bool)
         if powers:
             values = _cubes(np.arange(size, dtype=np.uint64), lo, k)
             bits = (hi**3 + k).bit_length()
@@ -312,37 +311,21 @@ def _walk(k: int, lo: int, bounds: list[int], primes: bool = True, powers: bool 
                     yield n, v, p
 
 
-def _shares(spans: list[tuple[int, int, int]], workers: int) -> list[list[tuple[int, int, int]]]:
-    """The spans in at most workers contiguous runs of about equal index
-    count (the spans that end at small checkpoints are short): each span
-    joins the run its middle index falls in."""
-    first, total = spans[0][0], spans[-1][1] - spans[0][0] + 1
-    runs = [[] for _ in range(workers)]
-    for span in spans:
-        runs[(span[0] + span[1] - 2 * first) * workers // (2 * total)].append(span)
-    return [run for run in runs if run]
-
-
-def _span_counts(k: int, prescreen: _Sieve, share: list[tuple[int, int, int]]):
-    """The number of primes in each span of share, one span at a time."""
-    for lo, hi, _ in share:
-        yield int(np.count_nonzero(_prime_mask(k, lo, hi, prescreen)))
-
-
 def _running_counts(k: int, bounds: list[int], stats: dict | None = None) -> list[int]:
     """Number of primes n^3 + k over n from min_index(k) up to each of the
-    ascending index bounds, in one walk whose spans are shared out among
-    forked.cpus() processes (forked.split_counts). stats, when given,
-    gets the processes used as "workers" and the spans as "segments"."""
+    ascending index bounds, in one walk whose spans forked.split_counts
+    shares out among processes by index count. stats, when given, gets the
+    processes used as "workers" and the spans as "segments"."""
     from . import forked  # here, so that commands that never count never compile it
 
     lo = min_index(k)
     spans = _spans(lo, bounds)
-    counts, workers = [], 1
-    if spans:
-        shares = _shares(spans, min(forked.cpus(), len(spans)))
-        count = partial(_span_counts, k, _prescreen(k, _prescreen_bound(bounds[-1] - lo + 1)))
-        counts, workers = forked.split_counts(count, shares)
+    prescreen = _prescreen(k, _prescreen_bound(bounds[-1] - lo + 1))
+
+    def count(span):
+        return int(np.count_nonzero(_prime_mask(k, span[0], span[1], prescreen)))
+
+    counts, workers = forked.split_counts(count, spans, lambda s: s[1] - s[0] + 1, _SEGMENT)
     per_bound = [0] * len(bounds)
     for (_, _, i), c in zip(spans, counts):
         per_bound[i] += c
@@ -358,18 +341,16 @@ def count_cubic_primes(k: int, x: int) -> int:
     return _running_counts(k, [max_index(k, x)])[0]
 
 
-def enumerate_cubic_primes(k: int, n_max: int, n_min: int | None = None) -> list[tuple[int, int]]:
-    """All (n, n^3 + k) with the value prime, for n from n_min (default and
-    floor min_index(k)) to n_max.
+def enumerate_cubic_primes(k: int, n_max: int) -> list[tuple[int, int]]:
+    """All (n, n^3 + k) with the value prime, for n from min_index(k) to n_max.
 
     Every value goes to scalar is_prime, without the walk's sieve or batch
     certifier, so this is a route independent of count_cubic_primes.
     """
     if n_max >= 0 and n_max**3 + k > U64_MAX:
         raise CapacityError(f"n^3 + k at n = {n_max} exceeds the unsigned 64-bit value budget")
-    first = min_index(k) if n_min is None else max(n_min, min_index(k))
     out = []
-    for n in range(first, n_max + 1):
+    for n in range(min_index(k), n_max + 1):
         v = n * n * n + k
         if is_prime(v):
             out.append((n, v))

@@ -1,10 +1,11 @@
 """Counts computed in forked worker processes.
 
-split_counts takes a list of shares, each a list of items, and a function
-that yields one integer count per item of a share. This process counts
-the first share. A child forked for each other share counts it and writes
-each count to a pipe as an int64 as soon as it has it. The counts come
-back in item order, so no result depends on how the items were shared.
+split_counts takes a list of items, a function that gives each item's
+integer count and a function that gives its size. It shares the items out
+in contiguous runs of about equal size, one per process, and counts the
+first run in this process. A child forked for each other run counts it
+and writes each count to a pipe as an int64 as soon as it has it. The
+counts come back in item order, so no result depends on the sharing.
 
 fork, not spawn: a spawned worker would import numpy and the package
 again (about 0.27 s), as long as the work it takes over. Children inherit
@@ -32,12 +33,30 @@ def cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fork(count, share: list):
-    """(pid, read end of a pipe) of a forked child that writes each count of
-    count(share) to the pipe, or None when os.pipe or os.fork fails. The
-    child never returns: it leaves by os._exit, with status 0 only after its
-    last count. Once the parent is gone, its next write fails and it exits
-    within one item."""
+def _shares(items: list, size, unit: int) -> list[list]:
+    """The items in contiguous runs of about equal total size(item) >= 1:
+    one run per cpus(), but no more runs than the total size in units,
+    rounded up, so a job of one unit or less stays in this process. Each
+    item joins the run its middle falls in."""
+    sizes = [size(item) for item in items]
+    total = sum(sizes)
+    workers = min(cpus(), -(-total // unit))
+    runs = [[] for _ in range(workers)]
+    start = 0
+    for item, s in zip(items, sizes):
+        runs[(2 * start + s - 1) * workers // (2 * total)].append(item)
+        start += s
+    return [run for run in runs if run]
+
+
+def _fork(count, share: list, inherited: list[int]):
+    """(pid, read end of a pipe) of a forked child that writes count(item)
+    for each item of share to the pipe, or None when os.pipe or os.fork
+    fails. The child closes the inherited read ends of the earlier
+    children's pipes, so each pipe has one reader, this process. The child
+    never returns: it leaves by os._exit, with status 0 only after its last
+    count. Once this process closes the read end, or is gone, the child's
+    next write fails and it exits within one item."""
     fds = ()
     try:
         fds = read, write = os.pipe()
@@ -51,9 +70,10 @@ def _fork(count, share: list):
         return pid, read
     status = 1
     try:
-        os.close(read)
-        for c in count(share):
-            os.write(write, np.int64(c).tobytes())
+        for fd in (read, *inherited):
+            os.close(fd)
+        for item in share:
+            os.write(write, np.int64(count(item)).tobytes())
         status = 0
     finally:
         os._exit(status)
@@ -71,24 +91,29 @@ def _read(fd: int, items: int) -> list[int]:
     return np.frombuffer(data, dtype=np.int64).tolist()
 
 
-def split_counts(count, shares: list[list]) -> tuple[list[int], int]:
-    """The counts of every item of the shares, in order, and the number of
-    processes that made them. Each share but the first goes to a forked
-    child, or is counted here when the fork fails. Every child is reaped
-    before this returns or raises; one that exits nonzero raises
-    ResourceError."""
+def split_counts(count, items: list, size, unit: int) -> tuple[list[int], int]:
+    """count(item) for each of the items, in order, and the number of
+    processes that made them (_shares). Each run but the first goes to a
+    forked child, or is counted here when the fork fails. Every child is
+    reaped before this returns or raises: on a raise, all read ends close
+    first, so every child stops within one item. A child that exits
+    nonzero raises ResourceError."""
+    shares = _shares(items, size, unit)
     children = []
     try:
         for share in shares[1:]:
-            children.append(_fork(count, share))
-        counts = list(count(shares[0]))
+            children.append(_fork(count, share, [fd for _, fd in filter(None, children)]))
+        counts = [count(item) for item in shares[0]] if shares else []
         for share, child in zip(shares[1:], children):
-            counts += count(share) if child is None else _read(child[1], len(share))
+            if child is None:
+                counts += [count(item) for item in share]
+            else:
+                counts += _read(child[1], len(share))
     finally:
-        statuses = []
-        for pid, fd in filter(None, children):
+        forked = list(filter(None, children))
+        for _, fd in forked:
             os.close(fd)
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in forked]
     if any(statuses):
         raise ResourceError(f"a count worker exited with status {max(statuses, key=abs)}")
     return counts, 1 + len(statuses)

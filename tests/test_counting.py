@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import time
 from functools import lru_cache
 from pathlib import Path
 
@@ -135,11 +136,6 @@ class TestEnumerate:
     def test_shift_one(self):
         assert enumerate_cubic_primes(1, 1) == [(1, 2)]
 
-    def test_start_index(self):
-        assert enumerate_cubic_primes(2, 5, n_min=2) == [(3, 29), (5, 127)]
-        assert enumerate_cubic_primes(2, 5, n_min=-10) == enumerate_cubic_primes(2, 5)
-        assert enumerate_cubic_primes(2, 5, n_min=6) == []
-
 
 class TestCount:
     def test_reference_130(self):
@@ -265,8 +261,8 @@ class TestCountTable:
         # the last 65,536 values, with no sieve and no batch certifier
         hi = max_index(2, U64_MAX)
         below, top = _running_counts(2, [hi - _SEGMENT, hi])
-        scalar = enumerate_cubic_primes(2, hi, n_min=hi - _SEGMENT + 1)
-        assert top - below == len(scalar) == 1871
+        scalar = sum(is_prime(n**3 + 2) for n in range(hi - _SEGMENT + 1, hi + 1))
+        assert top - below == scalar == 1871
 
     def test_single_pass_matches_individual_counts(self):
         records = count_table(2, [10**3, 10**5, 10**6], 100)
@@ -635,6 +631,20 @@ class TestSplitWalk:
         count_table(2, [10**14], 100, stats)
         assert (stats, forks) == ({"workers": 1, "segments": 1}, [])
 
+    def test_short_walk_never_forks(self, monkeypatch, forks):
+        # three spans, 10,000 indices in all: less than one segment of work
+        self.force_workers(monkeypatch, 2)
+        stats = {}
+        count_table(2, [10**6, 10**9, 10**12], 100, stats)
+        assert (stats, forks) == ({"workers": 1, "segments": 3}, [])
+
+    def test_two_segments_of_indices_fork_once(self, monkeypatch, forks):
+        self.force_workers(monkeypatch, 3)
+        stats = {}
+        n = min_index(2) + 2 * _SEGMENT - 1  # the last index of the second span
+        count_table(2, [n**3 + 2], 100, stats)
+        assert stats == {"workers": 2, "segments": 2} and len(forks) == 1
+
     def test_failed_fork_counts_here(self, monkeypatch):
         checkpoints = edge_checkpoints(2)
         expected = count_table(2, checkpoints, 100)
@@ -664,6 +674,27 @@ class TestSplitWalk:
         self.fail_in_children(monkeypatch)
         with pytest.raises(ResourceError):
             count_table(2, edge_checkpoints(2), 100)
+        assert len(forks) == 2
+        for child in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(child, os.WNOHANG)
+
+    def test_failing_parent_stops_every_child(self, monkeypatch, forks):
+        # two children with 3 s of work each; the parent fails on its first
+        # item, closes both pipes, and each child stops at its next write
+        self.force_workers(monkeypatch, 3)
+        parent = os.getpid()
+
+        def count(item):
+            if os.getpid() == parent:
+                raise MemoryError("share lost")
+            time.sleep(0.01)
+            return item
+
+        start = time.monotonic()
+        with pytest.raises(MemoryError):
+            forked.split_counts(count, list(range(900)), lambda _: 1, 1)
+        assert time.monotonic() - start < 1.5
         assert len(forks) == 2
         for child in forks:
             with pytest.raises(ChildProcessError):
