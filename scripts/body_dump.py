@@ -110,6 +110,13 @@ COMMANDS = [
                                          f + 3 * 2**16 - 1, f + 3 * 2**16,
                                          f + 3 * 2**16 + 1, f + 4 * 2**16 + 99))]
       for k, f in ((2, 0), (-17, 3))),  # f = min_index(k)
+    # the Lambda walk across its first segment edge: a sum over two
+    # segments, and a tail whose index bounds lie one below, at (twice) and
+    # one above that edge, with no new prime power after x = 1000
+    ["chebyshev", "--k", "2", "--x", "1000000000000000"],
+    ["tail", "--k", "-54", "--checkpoints",
+     ",".join(["1000"] + [str(n**3 - 54) for n in (4 + 2**16 - 1, 4 + 2**16, 4 + 2**16,
+                                                    4 + 2**16 + 1)])],  # 4 = min_index(-54)
 ]
 
 

@@ -199,7 +199,9 @@ def _cmd_epstein(args: argparse.Namespace) -> OutputTable:
 
 
 def _cmd_chebyshev(args: argparse.Namespace) -> OutputTable:
-    weight = Weight(args.weight, args.exponent)
+    if args.exponent is not None and args.weight != "power":
+        raise DomainError(f"--exponent applies to --weight power, not {args.weight}")
+    weight = Weight(args.weight, 1 if args.exponent is None else args.exponent)
     record = weighted_lambda_sum(args.k, weight, args.x)
     rows = [(record.x, str(record.weight), record.value, record.tail_value, record.bound)]
     return OutputTable(
@@ -299,8 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--weight", choices=("power", "totient", "sigma", "tau"),
                     default="power")
-    sp.add_argument("--exponent", type=int, default=1,
-                    help="exponent for the power weight")
+    sp.add_argument("--exponent", type=int,
+                    help="exponent for the power weight (default 1)")
 
     sp = add("lemma4", _cmd_lemma4, "index sum over the classes solving n^3 = a mod q")
     sp.add_argument("--q", type=int, required=True)

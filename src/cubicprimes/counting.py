@@ -2,19 +2,22 @@
 the count's predicted main term.
 
 The observed side is one walk over the index range of n^3 + k in ascending
-65536-index segments. Each segment gives two masks: a progression sieve
-against the primes up to 10^2, 10^3 or 10^5 (by the walk's span), struck
-at the roots of n^3 + k mod each (residues._cube_roots), whose survivors
-are certified together by the batched Baillie-PSW test (is_prime_batch:
-strong base 2, then strong Lucas, in Montgomery arithmetic; one call per
-segment), and, for the Lambda sums, an exact test of which values are
-q-th powers for a prime q (each power's base is then found by exact
-integer roots and certified by the scalar is_prime). Scalar is_prime is
-also the reference route: enumerate_cubic_primes tests every value with
-it. Counts add each segment's prime mask; the weighted Lambda sums and
-the prime-power tail are reductions over the walk's hits, so Lambda(v) is
-log v on a certified prime, log p on a certified p^e and 0 elsewhere,
-without factorising. The predicted side is the truncated
+segments of at most 65536 indices (_spans), split at each checkpoint's
+index bound; every segment carries the position of its bound, the first
+bound at or above its indices. A segment's prime mask is a progression
+sieve against the primes up to 10^2, 10^3 or 10^5 (by the walk's span),
+struck at the roots of n^3 + k mod each (residues._cube_roots), whose
+survivors are certified together by the batched Baillie-PSW test
+(is_prime_batch: strong base 2, then strong Lucas, in Montgomery
+arithmetic; one call per segment). Scalar is_prime is also the reference
+route: enumerate_cubic_primes tests every value with it. Counts add each
+segment's prime count to its bound. The weighted Lambda sums and the
+prime-power tail read one generator, _walk, which also marks the values
+that are q-th powers for a prime q by an exact test (each power's base is
+then found by exact integer roots and certified by the scalar is_prime)
+and yields each hit with its bound position. So Lambda(v) is log v on a
+certified prime, log p on a certified p^e and 0 elsewhere, without
+factorising. The predicted side is the truncated
 product over primes p of 1 - (rho_p - 1)/(p - 1), rho_p the number of
 roots of x^3 + k mod p, times x^(1/3)/log x.
 Everything here is deterministic: terms are taken in ascending n, and
@@ -258,57 +261,39 @@ def _prime_mask(k: int, lo: int, hi: int, prescreen: _Sieve) -> np.ndarray:
     return prime
 
 
-def _segments(k: int, lo: int, bounds: list[int], primes: bool = True, powers: bool = False):
-    """Walk n from lo through the ascending index bounds over _spans.
-    Yield (lo, prime, power) for each segment of n from lo, where prime is
-    the segment's _prime_mask (when primes is set) and power marks the
-    values n^3 + k that are exact q-th powers for a prime q (when powers is
-    set), and None on reaching each bound.
+def _walk(k: int, lo: int, bounds: list[int], primes: bool = True):
+    """Walk n from lo through the ascending index bounds over _spans, and
+    yield (i, n, v, p) in ascending n for each value v = n^3 + k that is
+    prime (p = v; only when primes is set) or a certified proper prime power
+    p^e, where i is the span's bound index: the first bound >= n.
 
-    On the power path every value of the segment is formed, and _is_power
-    marks the exact q-th powers for each prime q below the largest value's
-    bit length; _walk finds each one's base and certifies it.
+    Each segment takes its power mask before its prime mask (_prime_mask;
+    the other order measured a higher peak RSS on the Lambda sums): every
+    value of the segment is formed, and _is_power marks the exact
+    q-th powers for each prime q below the largest value's bit length;
+    _prime_power_base then finds each one's base and certifies it.
     """
     prescreen = _prescreen(k, _prescreen_bound(bounds[-1] - lo + 1)) if primes else None
-    reached = 0
     for lo, hi, i in _spans(lo, bounds):
-        for _ in range(reached, i):
-            yield None
-        reached = i
         size = hi - lo + 1
         power = np.zeros(size, dtype=bool)
         prime = _prime_mask(k, lo, hi, prescreen) if primes else np.zeros(size, dtype=bool)
-        if powers:
-            values = _cubes(np.arange(size, dtype=np.uint64), lo, k)
-            bits = (hi**3 + k).bit_length()
-            for q in _ROOT_EXPONENTS:
-                if q >= bits:
-                    break
-                power |= _is_power(values, q)
-            del values
-        yield lo, prime, power
-    for _ in range(reached, len(bounds)):
-        yield None
-
-
-def _walk(k: int, lo: int, bounds: list[int], primes: bool = True, powers: bool = False):
-    """The hits of _segments: (n, v, p) in ascending n for each value
-    v = n^3 + k that is prime (p = v) or a certified proper prime power p^e,
-    and None on reaching each bound."""
-    for segment in _segments(k, lo, bounds, primes, powers):
-        if segment is None:
-            yield None
-            continue
-        lo, prime, power = segment
-        for i in np.flatnonzero(prime | power).tolist():
-            n = lo + i
+        values = _cubes(np.arange(size, dtype=np.uint64), lo, k)
+        bits = (hi**3 + k).bit_length()
+        for q in _ROOT_EXPONENTS:
+            if q >= bits:
+                break
+            power |= _is_power(values, q)
+        del values
+        for j in np.flatnonzero(prime | power).tolist():
+            n = lo + j
             v = n * n * n + k
-            if prime[i]:
-                yield n, v, v
-            elif power[i] and v >= 4:
+            if prime[j]:
+                yield i, n, v, v
+            elif v >= 4:
                 p = _prime_power_base(v)
                 if p is not None:
-                    yield n, v, p
+                    yield i, n, v, p
 
 
 def _running_counts(k: int, bounds: list[int], stats: dict | None = None) -> list[int]:
@@ -432,10 +417,7 @@ def weighted_lambda_sum(k: int, weight: Weight, x: int) -> WeightedSumRecord:
     _check_weights(lo, hi, weight.exponent if weight.kind == "power" else 1)
     total = 0.0
     tail = 0.0
-    for hit in _walk(k, lo, [hi], powers=True):
-        if hit is None:
-            break
-        n, v, p = hit
+    for _, n, v, p in _walk(k, lo, [hi]):
         w = weight(n)
         if w == 0:
             continue
@@ -537,14 +519,13 @@ def prime_power_tail(k: int, checkpoints: list[int]) -> list[tuple[float, float]
     lo = max(1, min_index(k))
     bounds = [max(max_index(k, x), lo - 1) for x in checkpoints]
     _check_weights(lo, bounds[-1], 1)
-    hits = _walk(k, lo, bounds, primes=False, powers=True)
+    running, tail = {}, 0.0  # bound index -> the tail after its last hit
+    for i, n, _, p in _walk(k, lo, bounds, primes=False):
+        tail += n * math.log(p)
+        running[i] = tail
     out, tail = [], 0.0
-    for x in checkpoints:
-        for hit in hits:
-            if hit is None:
-                break
-            n, _, p = hit
-            tail += n * math.log(p)
+    for i, x in enumerate(checkpoints):
+        tail = running.get(i, tail)
         out.append((tail, math.sqrt(x) * math.log(x) ** 2) if x >= 1 else (0.0, 0.0))
     return out
 

@@ -104,7 +104,9 @@ class DsetStats:
     checkpoints holds (x, count_at_x, count_at_x / x) triples.
     decay_exponent is beta fitted from ratio ~ C / (log x)^beta; it is a
     report, not a verified quantity, and is None when too few checkpoints
-    support a fit.
+    support a fit. It is a biased estimate of the true 1/3: for k = 2 to
+    x = 10^7 it reads 0.390 on the decades from 10 and 0.340 on those
+    from 10^3.
     """
 
     count: int

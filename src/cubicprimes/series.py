@@ -34,13 +34,14 @@ class PartialSumRecord:
 
 @dataclass(frozen=True)
 class KappaTrajectory:
-    """Checkpointed s=1 partial sums with a crude limit estimate.
+    """Checkpointed s=1 partial sums with a crude fit, not a limit.
 
     fitted_kappa is minus the mean over the last quartile of the decade
-    checkpoint values (the partial sums approach a negative constant from
-    either side); fit_residual is the largest deviation from that mean
-    inside the quartile window. Reported quantities only, never asserted
-    against.
+    checkpoint values; fit_residual is the largest deviation from that mean
+    inside the quartile window. The partial sums have no limit: they
+    diverge like -c (log x)^(1/3) (for k = 2, value / (log x)^(1/3) stays
+    near -0.535 from 10^4 to 10^7), so fitted_kappa drifts up with x.
+    Reported quantities only, never asserted against.
     """
 
     records: list[PartialSumRecord]

@@ -286,10 +286,13 @@ class TestFlags:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(counting, "_walk", counted_walk)
-        _, payload = run_json(capsys, ["tail", "--k", "-2", "--checkpoints", "1000,1000000,1000000000"])
+        # 0 is below 1; the one hit, 3^3 - 2 = 5^2, lies between 10 and 1000,
+        # and 1000 repeats; no new prime power lies between 1000 and 10^9
+        xs = (0, 10, 1000, 1000, 1000000, 1000000000)
+        _, payload = run_json(
+            capsys, ["tail", "--k", "-2", "--checkpoints", ",".join(map(str, xs))])
         assert len(walks) == 1
-        assert payload["rows"] == [[x, *counting.prime_power_tail(-2, [x])[0]]
-                                   for x in (1000, 1000000, 1000000000)]
+        assert payload["rows"] == [[x, *counting.prime_power_tail(-2, [x])[0]] for x in xs]
 
     def test_dseries_checkpoints_are_one_enumeration(self, capsys, monkeypatch):
         calls = []
@@ -432,6 +435,8 @@ EDGE_ARGVS = [
     (["dset", "--k", "2", "--x", "0"], 2),
     (["count", "--k", "2", "--x", "7"], 2),
     (["chebyshev", "--k", "2", "--x", str(2**64)], 3),
+    # an exponent that only the power weight reads
+    (["chebyshev", "--k", "2", "--x", "1000", "--weight", "tau", "--exponent", "-1"], 2),
     # an index weight |n| or |n|^exponent that cannot be a float
     (["tail", "--k", SQUARE_K, "--x", "1000"], 3),
     (["chebyshev", "--k", SQUARE_K, "--x", "1000"], 3),

@@ -1,3 +1,4 @@
+import bisect
 import errno
 import json
 import math
@@ -530,24 +531,28 @@ class TestSegmentedWalk:
             assert not _is_power(v + np.uint64(1), q).any(), q
             assert not _is_power(np.array([U64_MAX], dtype=np.uint64), q)[0], q
 
-    @pytest.mark.parametrize("k, lo, hi", [
-        (2, 2**21 - 35_000, 2**21 + 35_000),  # values cross 2^63
-        (2, max_index(2, 2**64 - 1) - 70_000, max_index(2, 2**64 - 1)),
-        (-128, 10**6, 10**6 + 70_000),
-        (2**62 + 1, -10**6, -10**6 + 70_000),  # n < 0: uint64 values from negative n
-    ])
-    def test_walk_hits_equal_scalar_loop(self, k, lo, hi):
-        # more than one 65536-index segment; primes by the batch certifier
+    @pytest.mark.parametrize("k, lo, bounds", [
+        (2, 2**21 - 35_000, [2**21 + 35_000]),  # values cross 2^63
+        (2, max_index(2, 2**64 - 1) - 70_000, [max_index(2, 2**64 - 1)]),
+        (-128, 10**6, [10**6 + 70_000]),
+        (2**62 + 1, -10**6, [-10**6 + 70_000]),  # n < 0: uint64 values from negative n
+        # a bound below the walk, then one below, at and above the last
+        # index of its first segment
+        (-128, 10**6, [10**6 - 1, *(10**6 + _SEGMENT - 1 + d for d in (-1, 0, 1)),
+                       10**6 + 70_000]),
+    ], ids=lambda v: "_".join(map(str, v)) if isinstance(v, list) else None)
+    def test_walk_hits_equal_scalar_loop(self, k, lo, bounds):
+        # more than one 65536-index segment; primes by the batch certifier;
+        # each hit carries the position of the first bound >= n
         expected = []
-        for n in range(lo, hi + 1):
+        for n in range(lo, bounds[-1] + 1):
             v = n**3 + k
+            i = bisect.bisect_left(bounds, n)
             if is_prime(v):
-                expected.append((n, v, v))
+                expected.append((i, n, v, v))
             elif v >= 4 and (p := _prime_power_base(v)) is not None:
-                expected.append((n, v, p))
-        hits = list(_walk(k, lo, [hi], primes=True, powers=True))
-        assert hits[-1] is None
-        assert hits[:-1] == expected
+                expected.append((i, n, v, p))
+        assert list(_walk(k, lo, bounds)) == expected
         assert len(expected) > 1000
 
     def test_tails_need_ascending_checkpoints(self):
