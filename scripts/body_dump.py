@@ -117,6 +117,9 @@ COMMANDS = [
     ["tail", "--k", "-54", "--checkpoints",
      ",".join(["1000"] + [str(n**3 - 54) for n in (4 + 2**16 - 1, 4 + 2**16, 4 + 2**16,
                                                     4 + 2**16 + 1)])],  # 4 = min_index(-54)
+    # the partial sums at s != 1, and at a repeated checkpoint off the decades
+    ["dseries", "--k", "2", "--s", "1.5", "--x", "100000"],
+    ["dseries", "--k", "-17", "--x", "100000", "--checkpoints", "10,1000,1000,100000"],
 ]
 
 

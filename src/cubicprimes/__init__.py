@@ -59,13 +59,11 @@ from .residues import (
     roots_mod,
 )
 from .series import (
-    KappaTrajectory,
     PartialSumRecord,
     dirichlet_partial_sum,
     epstein_mu_sum,
     epstein_r,
     epstein_zeta_partial,
-    kappa_trajectory,
     representation_counts,
 )
 
@@ -83,8 +81,7 @@ __all__ = [
     "NONRESIDUE_FORM", "RESIDUE_FORM", "Branch", "CubicClass", "CubicTag",
     "PrimeClass", "QuadraticForm", "cubic_residue_euler", "gauss_classify",
     "primitive_cube_root", "rho", "rho_bruteforce", "roots_mod",
-    "KappaTrajectory", "PartialSumRecord", "dirichlet_partial_sum",
-    "epstein_mu_sum", "epstein_r", "epstein_zeta_partial", "kappa_trajectory",
-    "representation_counts",
+    "PartialSumRecord", "dirichlet_partial_sum", "epstein_mu_sum", "epstein_r",
+    "epstein_zeta_partial", "representation_counts",
     "__version__",
 ]

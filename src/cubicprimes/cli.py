@@ -43,11 +43,9 @@ from .residues import (
     rho_bruteforce,
 )
 from .series import (
-    _log_checkpoints,
     dirichlet_partial_sum,
     epstein_mu_sum,
     epstein_zeta_partial,
-    kappa_trajectory,
 )
 from .verify import SUITES, run_suite
 
@@ -113,6 +111,16 @@ def _form_triple(text: str) -> tuple[int, int, int]:
     return parts[0], parts[1], parts[2]
 
 
+def _log_checkpoints(x_max: int) -> list[int]:
+    cps = []
+    p = 10
+    while p < x_max:
+        cps.append(p)
+        p *= 10
+    cps.append(x_max)
+    return cps
+
+
 def _cmd_count(args: argparse.Namespace) -> OutputTable:
     checkpoints = args.checkpoints or ([args.x] if args.x is not None else None)
     if not checkpoints:
@@ -167,21 +175,15 @@ def _cmd_dset(args: argparse.Namespace) -> OutputTable:
     rows = [(x, cnt, ratio) for x, cnt, ratio in stats.checkpoints]
     return OutputTable(
         "dset", ("x", "members", "ratio"), rows,
-        extra={"k": args.k, "decay_exponent": stats.decay_exponent})
+        extra={"k": args.k})
 
 
 def _cmd_dseries(args: argparse.Namespace) -> OutputTable:
-    extra: dict[str, Any] = {"k": args.k}
-    if args.s == 1.0:
-        trajectory = kappa_trajectory(args.k, args.x, args.checkpoints or None)
-        records = trajectory.records
-        extra["fitted_kappa"] = trajectory.fitted_kappa
-        extra["fit_residual"] = trajectory.fit_residual
-    else:
-        records = dirichlet_partial_sum(
-            args.k, args.s, args.x, args.checkpoints or _log_checkpoints(args.x))
+    records = dirichlet_partial_sum(
+        args.k, args.s, args.x, args.checkpoints or _log_checkpoints(args.x))
     rows = [(r.x, args.s, r.value, r.terms_used) for r in records]
-    return OutputTable("dseries", ("x", "s", "value", "terms_used"), rows, extra=extra)
+    return OutputTable(
+        "dseries", ("x", "s", "value", "terms_used"), rows, extra={"k": args.k})
 
 
 def _cmd_epstein(args: argparse.Namespace) -> OutputTable:
@@ -199,9 +201,7 @@ def _cmd_epstein(args: argparse.Namespace) -> OutputTable:
 
 
 def _cmd_chebyshev(args: argparse.Namespace) -> OutputTable:
-    if args.exponent is not None and args.weight != "power":
-        raise DomainError(f"--exponent applies to --weight power, not {args.weight}")
-    weight = Weight(args.weight, 1 if args.exponent is None else args.exponent)
+    weight = Weight(args.weight, args.exponent)
     record = weighted_lambda_sum(args.k, weight, args.x)
     rows = [(record.x, str(record.weight), record.value, record.tail_value, record.bound)]
     return OutputTable(

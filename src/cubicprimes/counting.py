@@ -70,19 +70,24 @@ class CountRecord:
 
 @dataclass(frozen=True)
 class Weight:
-    """Index weight for the Lambda sums: n^exponent, or one of the
-    arithmetic functions totient/sigma/tau applied to the index n
-    (those three vanish for n <= 0)."""
+    """Index weight for the Lambda sums: n^exponent (exponent 1 when none
+    is given), or one of the arithmetic functions totient/sigma/tau applied
+    to the index n (those three vanish for n <= 0 and take no exponent)."""
 
     kind: str
-    exponent: int = 1
+    exponent: int | None = None
 
     _KINDS = ("power", "totient", "sigma", "tau")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise DomainError(f"weight kind {self.kind!r} not in {self._KINDS}")
-        if self.kind == "power" and self.exponent < 0:
+        if self.kind != "power":
+            if self.exponent is not None:
+                raise DomainError(f"an exponent applies to the power weight, not {self.kind}")
+        elif self.exponent is None:
+            object.__setattr__(self, "exponent", 1)
+        elif self.exponent < 0:
             raise DomainError("power weight needs exponent >= 0")
 
     def __call__(self, n: int) -> int:

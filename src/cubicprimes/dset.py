@@ -99,19 +99,13 @@ def enumerate_dset(k: int, limit: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DsetStats:
-    """Counts of solvable moduli at checkpoints, with an empirical decay fit.
+    """Counts of solvable moduli at checkpoints.
 
     checkpoints holds (x, count_at_x, count_at_x / x) triples.
-    decay_exponent is beta fitted from ratio ~ C / (log x)^beta; it is a
-    report, not a verified quantity, and is None when too few checkpoints
-    support a fit. It is a biased estimate of the true 1/3: for k = 2 to
-    x = 10^7 it reads 0.390 on the decades from 10 and 0.340 on those
-    from 10^3.
     """
 
     count: int
     checkpoints: list[tuple[int, int, float]]
-    decay_exponent: float | None
 
 
 def _check_checkpoints(checkpoints: list[int], x: int) -> None:
@@ -131,11 +125,4 @@ def dset_density(k: int, limit: int, checkpoints: list[int]) -> DsetStats:
     for x in checkpoints:
         cnt = int(np.searchsorted(members, x, side="right"))
         rows.append((x, cnt, cnt / x))
-    beta = None
-    pts = [(x, r) for x, _, r in rows if x >= 3 and r > 0]
-    if len({x for x, _ in pts}) >= 2:
-        lx = np.log(np.log([float(x) for x, _ in pts]))
-        ly = np.log([r for _, r in pts])
-        slope = np.polyfit(lx, ly, 1)[0]
-        beta = float(-slope)
-    return DsetStats(count=len(members), checkpoints=rows, decay_exponent=beta)
+    return DsetStats(count=len(members), checkpoints=rows)

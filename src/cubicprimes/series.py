@@ -32,23 +32,6 @@ class PartialSumRecord:
     terms_used: int
 
 
-@dataclass(frozen=True)
-class KappaTrajectory:
-    """Checkpointed s=1 partial sums with a crude fit, not a limit.
-
-    fitted_kappa is minus the mean over the last quartile of the decade
-    checkpoint values; fit_residual is the largest deviation from that mean
-    inside the quartile window. The partial sums have no limit: they
-    diverge like -c (log x)^(1/3) (for k = 2, value / (log x)^(1/3) stays
-    near -0.535 from 10^4 to 10^7), so fitted_kappa drifts up with x.
-    Reported quantities only, never asserted against.
-    """
-
-    records: list[PartialSumRecord]
-    fitted_kappa: float
-    fit_residual: float
-
-
 def dirichlet_partial_sum(
     k: int,
     s: float,
@@ -91,35 +74,6 @@ def dirichlet_partial_sum(
         value = float(running[idx - 1]) if idx > 0 else 0.0
         out.append(PartialSumRecord(x=cp, value=value, terms_used=idx))
     return out
-
-
-def _log_checkpoints(x_max: int) -> list[int]:
-    cps = []
-    p = 10
-    while p < x_max:
-        cps.append(p)
-        p *= 10
-    cps.append(x_max)
-    return cps
-
-
-def kappa_trajectory(k: int, x_max: int, checkpoints: list[int] | None = None) -> KappaTrajectory:
-    """s = 1 partial sums at the ascending checkpoints (default: decade
-    checkpoints up to x_max), with the last-quartile limit estimate over the
-    decade checkpoints. Both sets are read from one cumulative sum."""
-    if x_max < 1:
-        raise DomainError("x_max must be >= 1")
-    decades = _log_checkpoints(x_max)
-    if checkpoints is None:
-        checkpoints = decades
-    _check_checkpoints(checkpoints, x_max)
-    at = {r.x: r for r in dirichlet_partial_sum(k, 1.0, x_max, sorted({*decades, *checkpoints}))}
-    q = max(1, math.ceil(len(decades) / 4))
-    window = [at[x].value for x in decades[-q:]]
-    mean = sum(window) / len(window)
-    residual = max(abs(v - mean) for v in window)
-    return KappaTrajectory(records=[at[x] for x in checkpoints], fitted_kappa=-mean,
-                           fit_residual=residual)
 
 
 def epstein_r(form: QuadraticForm, n: int) -> int:

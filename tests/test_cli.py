@@ -14,7 +14,7 @@ from cubicprimes import (
     verify,
 )
 from cubicprimes.counting import SERIES_BUDGET
-from cubicprimes.series import dirichlet_partial_sum, kappa_trajectory
+from cubicprimes.series import dirichlet_partial_sum
 from cubicprimes.verify import CheckResult
 
 COMMANDS = {
@@ -294,7 +294,15 @@ class TestFlags:
         assert len(walks) == 1
         assert payload["rows"] == [[x, *counting.prime_power_tail(-2, [x])[0]] for x in xs]
 
-    def test_dseries_checkpoints_are_one_enumeration(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("s", [1.0, 1.5])
+    @pytest.mark.parametrize("x, checkpoints, xs", [
+        (100000, ["--checkpoints", "1000,50000,100000"], [1000, 50000, 100000]),
+        # the default decade checkpoints, a single one at x = 10
+        (100000, [], [10, 100, 1000, 10000, 100000]),
+        (10, [], [10]),
+    ])
+    def test_dseries_checkpoints_are_one_enumeration(self, capsys, monkeypatch, s, x,
+                                                     checkpoints, xs):
         calls = []
         original = series.enumerate_dset
 
@@ -303,15 +311,12 @@ class TestFlags:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(series, "enumerate_dset", counted)
-        xs = [1000, 50000, 100000]
         _, payload = run_json(
-            capsys, ["dseries", "--k", "2", "--x", "100000", "--checkpoints", "1000,50000,100000"])
+            capsys, ["dseries", "--k", "2", "--x", str(x), "--s", str(s), *checkpoints])
         assert len(calls) == 1
-        assert payload["rows"] == [[r.x, 1.0, r.value, r.terms_used]
-                                   for r in dirichlet_partial_sum(2, 1.0, 100000, xs)]
-        fit = kappa_trajectory(2, 100000)
-        assert payload["metadata"]["fitted_kappa"] == fit.fitted_kappa
-        assert payload["metadata"]["fit_residual"] == fit.fit_residual
+        assert payload["rows"] == [[r.x, s, r.value, r.terms_used]
+                                   for r in dirichlet_partial_sum(2, s, x, xs)]
+        assert list(payload["metadata"]) == ["command", "argv", "version", "wall_time", "k"]
 
     @pytest.mark.parametrize("checkpoints", ["50000,1000", "1000,200000", "0,1000"])
     def test_dseries_bad_checkpoints(self, capsys, checkpoints):
@@ -433,6 +438,8 @@ EDGE_ARGVS = [
     (["epstein", "--form", "0,0,0", "--s", "2", "--x", "100"], 2),
     (["lemma4", "--q", "0", "--a", "1", "--x", "10"], 2),
     (["dset", "--k", "2", "--x", "0"], 2),
+    (["dseries", "--k", "2", "--x", "0"], 2),
+    (["dseries", "--k", "2", "--x", "0", "--s", "1.5"], 2),
     (["count", "--k", "2", "--x", "7"], 2),
     (["chebyshev", "--k", "2", "--x", str(2**64)], 3),
     # an exponent that only the power weight reads

@@ -336,6 +336,8 @@ class TestWeightedLambdaSum:
             Weight("power", -1)
         with pytest.raises(DomainError):
             Weight("logarithm")
+        with pytest.raises(DomainError):
+            Weight("tau", 5)
 
 
 class TestLambdaSumRhs:

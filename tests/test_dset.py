@@ -125,8 +125,6 @@ class TestDensity:
         stats = dset_density(2, 10**6, [10**3, 10**4, 10**5, 10**6])
         ratios = [r for _, _, r in stats.checkpoints]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
-        assert stats.decay_exponent is not None
-        assert stats.decay_exponent > 0
 
     def test_checkpoint_validation(self):
         with pytest.raises(DomainError):

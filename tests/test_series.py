@@ -16,7 +16,6 @@ from cubicprimes import (
     epstein_r,
     epstein_zeta_partial,
     in_dset,
-    kappa_trajectory,
     representation_counts,
     sieve_range,
 )
@@ -117,25 +116,6 @@ class TestDirichletPartialSum:
             dirichlet_partial_sum(2, 1.0, 100, checkpoints=[50, 20])
         with pytest.raises(DomainError):
             dirichlet_partial_sum(2, 1.0, 100, checkpoints=[200])
-
-
-class TestKappaTrajectory:
-    def test_degenerate_single_checkpoint(self):
-        kt = kappa_trajectory(2, 10)
-        assert len(kt.records) == 1
-        assert kt.fitted_kappa == -kt.records[0].value
-        assert kt.fit_residual == 0.0
-
-    def test_deterministic_recomputation(self):
-        a = kappa_trajectory(2, 10**3)
-        b = kappa_trajectory(2, 10**3)
-        assert a == b
-
-    def test_million_scale_fit_is_finite(self):
-        kt = kappa_trajectory(2, 10**5)
-        assert math.isfinite(kt.fitted_kappa)
-        assert kt.fitted_kappa > 0
-        assert len(kt.records) == 5
 
 
 class TestEpsteinR:
