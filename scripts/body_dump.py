@@ -120,6 +120,11 @@ COMMANDS = [
     # the partial sums at s != 1, and at a repeated checkpoint off the decades
     ["dseries", "--k", "2", "--s", "1.5", "--x", "100000"],
     ["dseries", "--k", "-17", "--x", "100000", "--checkpoints", "10,1000,1000,100000"],
+    # the half-plane lattice sweep with b != 0 (odd b at an odd bound), and
+    # the Mobius sieve's even fill at a bound = 2 mod 4
+    ["epstein", "--form", "2,1,3", "--s", "1", "--mu", "--x", "99999"],
+    ["epstein", "--form", "4,2,7", "--s", "1", "--mu", "--x", "100002"],
+    ["dseries", "--k", "2", "--x", "100002"],
 ]
 
 

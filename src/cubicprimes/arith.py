@@ -58,8 +58,10 @@ class Factorization:
 
 
 def sieve_range(limit: int) -> ArithTables:
-    """Sieve Mobius values for 0..limit: each prime of primes_up_to flips
-    the sign of its multiples and zeroes the multiples of its square.
+    """Sieve Mobius values for 0..limit: each odd prime of primes_up_to flips
+    the sign of its odd multiples and zeroes the odd multiples of its
+    square, and the even entries are filled from the odd ones by
+    mu(2m) = -mu(m) for odd m and mu(4m) = 0.
 
     limit outside [2, SIEVE_LIMIT_MAX] raises CapacityError. mu takes 1 byte
     per entry (int8) and primes 8 bytes per prime (int64, about
@@ -71,36 +73,39 @@ def sieve_range(limit: int) -> ArithTables:
     primes = primes_up_to(limit)
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    for at, _ in _multiples(primes, limit):
+    for at, _ in _multiples(primes[1:], limit, step=2):
         mu[at] *= -1
     n_small = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
-    for p in primes[:n_small].tolist():  # in either order, as 0 * -1 = 0
-        mu[p * p :: p * p] = 0
+    for p in primes[1:n_small].tolist():  # in either order, as 0 * -1 = 0
+        mu[p * p :: 2 * p * p] = 0
+    np.negative(mu[1 : (limit + 2) // 2 : 2], out=mu[2::4])
+    mu[4::4] = 0
     return ArithTables(mu=mu, primes=primes)
 
 
-def _multiples(ds: np.ndarray, limit: int):
-    """Every multiple m * d <= limit of the ascending ds >= 1, once, as
-    pairs (at, i): the positions at are multiples of ds[i].
+def _multiples(ds: np.ndarray, limit: int, step: int = 1):
+    """Every multiple m * d <= limit of the ascending ds >= 1 with multiplier
+    m = 1, 1 + step, 1 + 2 * step, ..., once, as pairs (at, i): the
+    positions at are multiples of ds[i]. step = 2 gives the odd multiples.
 
-    A d up to isqrt(limit) has one strided slice, at = slice(d, None, d),
-    with i its index. The larger d come one multiplier m at a time: at is
-    m * d for every such d with m * d <= limit, and i the slice of ds that
-    covers them. That is about 2 * sqrt(limit) steps. At m = 1 at is that
-    part of ds itself; from m = 3 on the products overwrite the last ones,
-    so a caller must use each at before it draws the next pair, and no two
-    product arrays are alive at once.
+    A d up to isqrt(limit) has one strided slice, at = slice(d, None,
+    step * d), with i its index. The larger d come one multiplier m at a
+    time: at is m * d for every such d with m * d <= limit, and i the slice
+    of ds that covers them. That is about 2 * sqrt(limit) / step steps. At
+    m = 1 at is that part of ds itself; from the third multiplier on the
+    products overwrite the last ones, so a caller must use each at before
+    it draws the next pair, and no two product arrays are alive at once.
     """
     n_small = int(np.searchsorted(ds, math.isqrt(limit), side="right"))
     for i, d in enumerate(ds[:n_small].tolist()):
-        yield slice(d, None, d), i
+        yield slice(d, None, step * d), i
     big = ds[n_small : int(np.searchsorted(ds, limit, side="right"))]
     at, m = big, 1
     while big.size:
         yield at, slice(n_small, n_small + big.size)
-        m += 1
+        m += step
         big = big[: int(np.searchsorted(big, limit // m, side="right"))]
-        at = np.multiply(big, m, out=at[: big.size] if m > 2 else None)
+        at = np.multiply(big, m, out=at[: big.size] if m > 1 + step else None)
 
 
 def primes_up_to(limit: int) -> np.ndarray:

@@ -172,9 +172,8 @@ def _cmd_rho(args: argparse.Namespace) -> OutputTable:
 def _cmd_dset(args: argparse.Namespace) -> OutputTable:
     checkpoints = args.checkpoints or _log_checkpoints(args.x)
     stats = dset_density(args.k, args.x, checkpoints)
-    rows = [(x, cnt, ratio) for x, cnt, ratio in stats.checkpoints]
     return OutputTable(
-        "dset", ("x", "members", "ratio"), rows,
+        "dset", ("x", "members", "ratio"), stats.checkpoints,
         extra={"k": args.k})
 
 

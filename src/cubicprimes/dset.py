@@ -74,13 +74,25 @@ def enumerate_dset(k: int, limit: int) -> np.ndarray:
     p | 3k with p^2 <= limit the roots are lifted, and the multiples of the
     first p^e with none are struck.
     """
+    _check_limit(limit)
+    return _solvable_moduli(k, limit, primes_up_to(limit))
+
+
+def _check_limit(limit: int) -> None:
+    """Refuse an enumeration limit outside [1, ENUMERATION_LIMIT]."""
     if limit < 1:
         raise DomainError(f"limit {limit} must be >= 1")
     if limit > ENUMERATION_LIMIT:
         raise ResourceError(f"limit {limit} exceeds enumeration budget {ENUMERATION_LIMIT}")
+
+
+def _solvable_moduli(k: int, limit: int, primes: np.ndarray) -> np.ndarray:
+    """enumerate_dset on a checked limit, given ascending primes that hold
+    every prime up to limit (a larger one strikes nothing), so that a
+    caller that also sieves Mobius values up to limit sieves its primes
+    once."""
     ok = np.ones(limit + 1, dtype=bool)
     ok[0] = False
-    primes = primes_up_to(limit)
     split = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
     for p in primes[:split].tolist():
         if 3 * k % p:
@@ -104,7 +116,6 @@ class DsetStats:
     checkpoints holds (x, count_at_x, count_at_x / x) triples.
     """
 
-    count: int
     checkpoints: list[tuple[int, int, float]]
 
 
@@ -125,4 +136,4 @@ def dset_density(k: int, limit: int, checkpoints: list[int]) -> DsetStats:
     for x in checkpoints:
         cnt = int(np.searchsorted(members, x, side="right"))
         rows.append((x, cnt, cnt / x))
-    return DsetStats(count=len(members), checkpoints=rows)
+    return DsetStats(checkpoints=rows)

@@ -6,7 +6,7 @@ binary quadratic forms u^2 + 27v^2 / 4u^2 + 2uv + 7v^2. gauss_classify runs
 both on one prime, with a form search that finds a witness (u, v), and
 refuses to return if they ever disagree; the residue command prints it. The
 form-split check of the verify suite takes the form route for all primes up
-to a bound at once, from one lattice sweep per form (series._lattice_rows),
+to a bound at once, from one lattice sweep per form (series._lattice_row),
 and is tested against gauss_classify.
 
 The Euler test, and with it the root count rho_p of x^3 + k mod p, has two

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import sieve_range
-from .dset import _check_checkpoints, enumerate_dset
+from .dset import _check_checkpoints, _check_limit, _solvable_moduli
 from .errors import DomainError, ResourceError
 from .residues import QuadraticForm
 
@@ -54,8 +54,11 @@ def dirichlet_partial_sum(
     if checkpoints is None:
         checkpoints = [x]
     _check_checkpoints(checkpoints, x)
-    members = enumerate_dset(k, x)
-    mu = sieve_range(max(x, 2)).mu[members]
+    _check_limit(x)
+    tables = sieve_range(max(x, 2))
+    members = _solvable_moduli(k, x, tables.primes)
+    mu = tables.mu[members]
+    del tables
     keep = mu != 0
     members = members[keep]
     mu = mu[keep]
@@ -91,20 +94,17 @@ def _ymax(form: QuadraticForm, n_max: int) -> int:
     return math.isqrt(4 * form.a * n_max // -form.discriminant)
 
 
-def _lattice_rows(form: QuadraticForm, n_max: int):
-    """Yield q_row for every lattice row y intersecting form <= n_max:
-    the exact form values with 1 <= value <= n_max."""
+def _lattice_row(form: QuadraticForm, n_max: int, y: int) -> np.ndarray:
+    """The exact form values 1 <= form(u, y) <= n_max on lattice row y, in
+    ascending u. As form(-u, -y) = form(u, y), row -y holds the same
+    values as row y."""
     a, b, c = form.a, form.b, form.c
-    neg_disc = -form.discriminant
-    ymax = _ymax(form, n_max)
-    for y in range(-ymax, ymax + 1):
-        disc = 4 * a * n_max - neg_disc * y * y
-        t = math.isqrt(max(disc, 0))
-        xlo = (-b * y - t) // (2 * a) - 1
-        xhi = (-b * y + t) // (2 * a) + 1
-        xs = np.arange(xlo, xhi + 1, dtype=np.int64)
-        q = a * xs * xs + b * xs * y + c * y * y
-        yield q[(q >= 1) & (q <= n_max)]
+    t = math.isqrt(max(4 * a * n_max + form.discriminant * y * y, 0))
+    xlo = (-b * y - t) // (2 * a) - 1
+    xhi = (-b * y + t) // (2 * a) + 1
+    xs = np.arange(xlo, xhi + 1, dtype=np.int64)
+    q = a * xs * xs + b * xs * y + c * y * y
+    return q[(q >= 1) & (q <= n_max)]
 
 
 def epstein_zeta_partial(form: QuadraticForm, s: float, n_max: int) -> float:
@@ -120,7 +120,9 @@ def epstein_zeta_partial(form: QuadraticForm, s: float, n_max: int) -> float:
     if n_max > EPSTEIN_BUDGET:
         raise ResourceError(f"n_max {n_max} exceeds budget {EPSTEIN_BUDGET}")
     total = 0.0
-    for q in _lattice_rows(form, n_max):
+    ymax = _ymax(form, n_max)
+    for y in range(-ymax, ymax + 1):
+        q = _lattice_row(form, n_max, y)
         if q.size:
             total += float(np.power(q.astype(np.float64), -s).sum())
     return total
@@ -129,23 +131,24 @@ def epstein_zeta_partial(form: QuadraticForm, s: float, n_max: int) -> float:
 def representation_counts(form: QuadraticForm, n_max: int) -> np.ndarray:
     """r(n) for all n <= n_max in one lattice sweep; index 0 unused.
 
-    The sweep has 2 ymax + 1 rows, and each meets a given n at most twice
+    The sweep walks the ymax + 1 rows y >= 0. Row -y holds the same values
+    as row y, so row 0 adds 1 to each of its values and every other row
+    adds 2, in the counts' dtype (a plain Python int takes np.add.at off its
+    fast path). Each of the 2 ymax + 1 rows meets a given n at most twice
     (form(u, y) = n is a quadratic in u), so r(n) <= 4 ymax + 2: 2,434 for
     (1, 0, 27) at the 10^7 budget. The counts are int16, 2 B per entry,
     unless that bound passes 32,767; then they are int32, which holds the
-    bound of any sweep short of 5 * 10^8 rows. The increment has the
-    counts' dtype: a plain Python 1 takes np.add.at off its fast path.
+    bound of any sweep short of 5 * 10^8 rows.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     if n_max > EPSTEIN_BUDGET:
         raise ResourceError(f"n_max {n_max} exceeds budget {EPSTEIN_BUDGET}")
-    fits16 = 4 * _ymax(form, n_max) + 2 <= np.iinfo(np.int16).max
-    one = np.int16(1) if fits16 else np.int32(1)
-    counts = np.zeros(n_max + 1, dtype=one.dtype)
-    for q in _lattice_rows(form, n_max):
-        if q.size:
-            np.add.at(counts, q, one)
+    ymax = _ymax(form, n_max)
+    dtype = np.int16 if 4 * ymax + 2 <= np.iinfo(np.int16).max else np.int32
+    counts = np.zeros(n_max + 1, dtype=dtype)
+    for y in range(ymax + 1):
+        np.add.at(counts, _lattice_row(form, n_max, y), dtype(2 if y else 1))
     return counts
 
 

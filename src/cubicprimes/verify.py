@@ -24,7 +24,7 @@ from .residues import (
     _rho_primes,
     roots_mod,
 )
-from .series import _lattice_rows
+from .series import _lattice_row, _ymax
 
 SUITES = ("lemma2", "lemma3", "lemma4", "rho", "eq3", "all")
 
@@ -175,10 +175,11 @@ def mangoldt_divisor_sum(n_max: int) -> CheckResult:
 
 
 def _form_values(form: QuadraticForm, n_max: int) -> np.ndarray:
-    """A bool array over 0..n_max, True at every value the form takes."""
+    """A bool array over 0..n_max, True at every value the form takes: the
+    rows y >= 0 hold them all, as row -y holds the values of row y."""
     flags = np.zeros(n_max + 1, dtype=bool)
-    for q in _lattice_rows(form, n_max):
-        flags[q] = True
+    for y in range(_ymax(form, n_max) + 1):
+        flags[_lattice_row(form, n_max, y)] = True
     return flags
 
 

@@ -39,8 +39,10 @@ class TestSieve:
         assert len(tables_million.primes) == 78498
 
     # covers both sieve steps, primes up to sqrt(limit) and those above, and
-    # limits around 97^2, where 97 moves from one step to the other
-    @pytest.mark.parametrize("limit", [9408, 9409, 9410, 10**5])
+    # limits around 97^2, where 97 moves from one step to the other; every
+    # small limit and 9408-9411 take each residue of limit mod 4, where the
+    # even fill's slices mu[2::4] and mu[4::4] end
+    @pytest.mark.parametrize("limit", [*range(2, 65), 9408, 9409, 9410, 9411, 10**5])
     def test_mu_matches_factorization(self, limit):
         mu = sieve_range(limit).mu
         assert mu.size == limit + 1
@@ -50,22 +52,29 @@ class TestSieve:
             assert mu[n] == expected, n
 
     # d = 1, d around isqrt(limit) (3 for 10, 96 for 9408, 97 for 9409),
-    # d = limit and d > limit
+    # d = limit and d > limit; odd ds with three or more odd multipliers
+    # above isqrt(limit), so that the step-2 walk reuses its product buffer
     @pytest.mark.parametrize("ds, limit", [
         ([1, 2, 3, 4, 10, 11], 10),
         ([1, 95, 96, 97, 9408, 9409], 9408),
         ([1, 2, 96, 97, 98, 5000, 9409, 9410], 9409),
+        ([3, 5, 95, 97, 99, 101, 1881, 3001, 9409], 9409),
         ([5, 6], 4),
         ([], 10),
     ])
-    def test_multiples_yields_each_multiple_once(self, ds, limit):
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_multiples_yields_each_multiple_once(self, ds, limit, step):
+        # step 2 takes the odd multipliers: each odd multiple of an odd d
+        # once, and no even one
         ds = np.array(ds, dtype=np.int64)
+        before = ds.copy()
         got = []
-        for at, i in arith._multiples(ds, limit):
+        for at, i in arith._multiples(ds, limit, step=step):
             pos = np.arange(limit + 1)[at]  # an index above limit raises here
             got += zip(pos.tolist(), np.broadcast_to(ds[i], pos.shape).tolist())
-        want = [(m * d, d) for d in ds.tolist() for m in range(1, limit // d + 1)]
+        want = [(m * d, d) for d in ds.tolist() for m in range(1, limit // d + 1, step)]
         assert sorted(got) == sorted(want)
+        np.testing.assert_array_equal(ds, before)  # m = 1 hands out ds itself
 
     def test_limit_guards(self):
         with pytest.raises(CapacityError):

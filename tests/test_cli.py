@@ -304,13 +304,13 @@ class TestFlags:
     def test_dseries_checkpoints_are_one_enumeration(self, capsys, monkeypatch, s, x,
                                                      checkpoints, xs):
         calls = []
-        original = series.enumerate_dset
+        original = series._solvable_moduli
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(series, "enumerate_dset", counted)
+        monkeypatch.setattr(series, "_solvable_moduli", counted)
         _, payload = run_json(
             capsys, ["dseries", "--k", "2", "--x", str(x), "--s", str(s), *checkpoints])
         assert len(calls) == 1

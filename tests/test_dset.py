@@ -113,12 +113,12 @@ class TestEnumeration:
 class TestDensity:
     def test_ten(self):
         stats = dset_density(2, 10, [10])
-        assert stats.count == 6
+        assert stats.checkpoints[-1][1] == 6
         assert stats.checkpoints == [(10, 6, 0.6)]
 
     def test_limit_one(self):
         stats = dset_density(2, 1, [1])
-        assert stats.count == 1
+        assert stats.checkpoints[-1][1] == 1
         assert stats.checkpoints[0][1:] == (1, 1.0)
 
     def test_ratios_strictly_decreasing_to_a_million(self):

@@ -19,6 +19,8 @@ from cubicprimes import (
     representation_counts,
     sieve_range,
 )
+from cubicprimes.series import _lattice_row, _ymax
+from cubicprimes.verify import _form_values
 
 SQUARES = QuadraticForm(1, 0, 1)
 RESIDUE = QuadraticForm(1, 0, 27)
@@ -193,6 +195,23 @@ class TestRepresentationCounts:
             assert counts[0] == 0
             for n in range(1, 201):
                 assert counts[n] == epstein_r(form, n)
+
+    # forms with b != 0, whose rows are not symmetric in u, so that the
+    # half-plane sweep's doubled rows y > 0 stand in for rows -y
+    @pytest.mark.parametrize("form", [QuadraticForm(2, 1, 3), NONRESIDUE,
+                                      QuadraticForm(3, 2, 5)])
+    def test_half_plane_matches_per_n_oracle_with_b(self, form):
+        counts = representation_counts(form, 300)
+        assert counts[1:].tolist() == [epstein_r(form, n) for n in range(1, 301)]
+
+    @pytest.mark.parametrize("form", [RESIDUE, NONRESIDUE, QuadraticForm(2, 1, 3)])
+    @pytest.mark.parametrize("n_max", [9999, 10000])
+    def test_form_values_match_the_full_sweep(self, form, n_max):
+        ymax = _ymax(form, n_max)
+        want = np.zeros(n_max + 1, dtype=bool)
+        for y in range(-ymax, ymax + 1):
+            want[_lattice_row(form, n_max, y)] = True
+        np.testing.assert_array_equal(_form_values(form, n_max), want)
 
     def test_wide_row_bound_takes_int32(self):
         # (10001, 200, 1) has discriminant -4, so it is u^2 + v^2 in other
