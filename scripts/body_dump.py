@@ -125,6 +125,17 @@ COMMANDS = [
     ["epstein", "--form", "2,1,3", "--s", "1", "--mu", "--x", "99999"],
     ["epstein", "--form", "4,2,7", "--s", "1", "--mu", "--x", "100002"],
     ["dseries", "--k", "2", "--x", "100002"],
+    # values at or below the sieve bound, which the sieve leaves to the
+    # certifier, at each depth: bound 100 (a span under 10^3), 10^3 and
+    # 10^5, from shifts with a cube, a sieve prime or 1 among those values
+    ["count", "--k", "2", "--checkpoints", "8,1000,1000000"],
+    ["count", "--k", "-17", "--checkpoints", "10,1000,1000000000000"],
+    ["count", "--k", "54", "--checkpoints", "27,1000,1000000000000000"],
+    ["count", "--k", "250", "--checkpoints", "8,1000,1000000000000000"],
+    ["chebyshev", "--k", "28", "--x", "1000"],  # 1 at n = -3, 3^3 at n = -1
+    ["chebyshev", "--k", "28", "--x", "1000000000000"],
+    ["chebyshev", "--k", "250", "--x", "1000000000000000"],
+    ["verify", "--suite", "eq3", "--scale", "full", "--k", "28"],
 ]
 
 

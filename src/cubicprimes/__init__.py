@@ -20,9 +20,7 @@ from .counting import (
     ProgressionSum,
     Weight,
     WeightedSumRecord,
-    count_cubic_primes,
     count_table,
-    enumerate_cubic_primes,
     lambda_sum_rhs,
     max_index,
     min_index,
@@ -73,8 +71,7 @@ __all__ = [
     "ArithTables", "Factorization", "factorize", "integer_root", "is_prime",
     "primes_up_to", "sieve_range", "sigma", "tau", "totient", "von_mangoldt",
     "CountRecord", "ProgressionSum", "Weight", "WeightedSumRecord",
-    "count_cubic_primes", "count_table", "enumerate_cubic_primes",
-    "lambda_sum_rhs", "max_index", "min_index", "prime_power_tail",
+    "count_table", "lambda_sum_rhs", "max_index", "min_index", "prime_power_tail",
     "progression_weighted_sum", "singular_series", "weighted_lambda_sum",
     "DsetStats", "dset_density", "enumerate_dset", "in_dset",
     "CapacityError", "ConsistencyError", "DomainError", "ResourceError",

@@ -58,19 +58,24 @@ class Factorization:
 
 
 def sieve_range(limit: int) -> ArithTables:
-    """Sieve Mobius values for 0..limit: each odd prime of primes_up_to flips
-    the sign of its odd multiples and zeroes the odd multiples of its
-    square, and the even entries are filled from the odd ones by
-    mu(2m) = -mu(m) for odd m and mu(4m) = 0.
-
-    limit outside [2, SIEVE_LIMIT_MAX] raises CapacityError. mu takes 1 byte
-    per entry (int8) and primes 8 bytes per prime (int64, about
-    limit / ln(limit) of them). primes_up_to's flags, 1 byte per odd number
-    and so half a byte per entry, are freed before mu is allocated.
-    """
+    """The primes up to limit (primes_up_to) and the Mobius values for
+    0..limit (_mobius); limit outside [2, SIEVE_LIMIT_MAX] raises
+    CapacityError. mu takes 1 byte per entry (int8) and primes 8 bytes per
+    prime (int64, about limit / ln(limit) of them). primes_up_to's flags,
+    1 byte per odd number and so half a byte per entry, are freed before mu
+    is allocated."""
     if limit < 2 or limit > SIEVE_LIMIT_MAX:
         raise CapacityError(f"sieve limit {limit} outside [2, {SIEVE_LIMIT_MAX}]")
     primes = primes_up_to(limit)
+    return ArithTables(mu=_mobius(primes, limit), primes=primes)
+
+
+def _mobius(primes: np.ndarray, limit: int) -> np.ndarray:
+    """Mobius values for 0..limit as int8, given ascending primes that hold
+    every prime up to limit (a larger one changes nothing): each odd prime
+    flips the sign of its odd multiples and zeroes the odd multiples of its
+    square, and the even entries are filled from the odd ones by
+    mu(2m) = -mu(m) for odd m and mu(4m) = 0."""
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
     for at, _ in _multiples(primes[1:], limit, step=2):
@@ -80,7 +85,7 @@ def sieve_range(limit: int) -> ArithTables:
         mu[p * p :: 2 * p * p] = 0
     np.negative(mu[1 : (limit + 2) // 2 : 2], out=mu[2::4])
     mu[4::4] = 0
-    return ArithTables(mu=mu, primes=primes)
+    return mu
 
 
 def _multiples(ds: np.ndarray, limit: int, step: int = 1):

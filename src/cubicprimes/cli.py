@@ -99,9 +99,12 @@ def render_json(table: OutputTable, argv: list[str]) -> str:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        values = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+    return values
 
 
 def _form_triple(text: str) -> tuple[int, int, int]:
@@ -122,11 +125,8 @@ def _log_checkpoints(x_max: int) -> list[int]:
 
 
 def _cmd_count(args: argparse.Namespace) -> OutputTable:
-    checkpoints = args.checkpoints or ([args.x] if args.x is not None else None)
-    if not checkpoints:
-        raise DomainError("count needs --x or --checkpoints")
     extra = {"k": args.k}
-    records = count_table(args.k, checkpoints, p_cutoff=args.pmax, stats=extra)
+    records = count_table(args.k, args.checkpoints or [args.x], p_cutoff=args.pmax, stats=extra)
     rows = [(r.x, r.observed, r.predicted, r.ratio, r.p_cutoff) for r in records]
     return OutputTable(
         "count", ("x", "observed", "predicted", "ratio", "p_cutoff"), rows, extra=extra)
@@ -222,8 +222,6 @@ def _cmd_lemma4(args: argparse.Namespace) -> OutputTable:
 
 def _cmd_tail(args: argparse.Namespace) -> OutputTable:
     xs = args.checkpoints or [args.x]
-    if None in xs or not xs:
-        raise DomainError("tail needs --x or --checkpoints")
     rows = [(x, tail, bound) for x, (tail, bound) in zip(xs, prime_power_tail(args.k, xs))]
     return OutputTable("tail", ("x", "tail", "bound"), rows, extra={"k": args.k})
 
@@ -240,8 +238,16 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0 if passed == len(results) else 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose refusals start with "error:", as the
+    commands' own refusals do, with the usage line after the message."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n{self.format_usage()}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cubicprimes",
         description="Primes of the form n^3 + k: counts, densities, partial sums.")
     parser.add_argument("--version", action="version", version=__version__)
@@ -257,16 +263,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("count", _cmd_count, "count primes n^3 + k up to x against the prediction")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--x", type=int)
-    sp.add_argument("--checkpoints", type=_int_list)
+    xs = sp.add_mutually_exclusive_group(required=True)
+    xs.add_argument("--x", type=int)
+    xs.add_argument("--checkpoints", type=_int_list)
     sp.add_argument("--pmax", type=int, default=10**6,
                     help="prime cutoff for the predicted constant")
 
     sp = add("constant", _cmd_constant, "singular series partial product")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--pmax", type=int, default=10**6)
-    sp.add_argument("--checkpoints", type=_int_list,
-                    help="report the product at several prime cutoffs")
+    cutoffs = sp.add_mutually_exclusive_group()
+    cutoffs.add_argument("--pmax", type=int, default=10**6)
+    cutoffs.add_argument("--checkpoints", type=_int_list,
+                         help="report the product at several prime cutoffs")
 
     sp = add("residue", _cmd_residue, "cubic residuacity of a mod p")
     sp.add_argument("--a", type=int, required=True)
@@ -310,8 +318,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("tail", _cmd_tail, "prime-power part of the weighted sum, with its bound")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--x", type=int)
-    sp.add_argument("--checkpoints", type=_int_list)
+    xs = sp.add_mutually_exclusive_group(required=True)
+    xs.add_argument("--x", type=int)
+    xs.add_argument("--checkpoints", type=_int_list)
 
     sp = add("verify", _cmd_verify, "run a named self-check suite", table=False)
     sp.add_argument("--suite", choices=SUITES, required=True)
@@ -321,8 +330,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          "other suites refuse it")
     sp.add_argument("--pmax", type=int,
                     help="bound for lemma3 and all, at least 7; other suites refuse it")
-    sp.add_argument("--sample-seed", type=int, default=0)
-    sp.add_argument("--k", type=int, default=2)
+    sp.add_argument("--sample-seed", type=int,
+                    help="seed for lemma4 and all (default 0); other suites refuse it")
+    sp.add_argument("--k", type=int,
+                    help="shift for rho, eq3, lemma4 and all (default 2); other suites refuse it")
 
     return parser
 

@@ -6,11 +6,11 @@ segments of at most 65536 indices (_spans), split at each checkpoint's
 index bound; every segment carries the position of its bound, the first
 bound at or above its indices. A segment's prime mask is a progression
 sieve against the primes up to 10^2, 10^3 or 10^5 (by the walk's span),
-struck at the roots of n^3 + k mod each (residues._cube_roots), whose
-survivors are certified together by the batched Baillie-PSW test
-(is_prime_batch: strong base 2, then strong Lucas, in Montgomery
-arithmetic; one call per segment). Scalar is_prime is also the reference
-route: enumerate_cubic_primes tests every value with it. Counts add each
+struck at the roots of n^3 + k mod each (residues._cube_roots) where the
+value is above that bound, so that a struck value is composite. The
+survivors, values up to the bound among them, are certified together by
+the batched Baillie-PSW test (is_prime_batch: strong base 2, then strong
+Lucas, in Montgomery arithmetic; one call per segment). Counts add each
 segment's prime count to its bound. The weighted Lambda sums and the
 prime-power tail read one generator, _walk, which also marks the values
 that are q-th powers for a prime q by an exact test (each power's base is
@@ -162,12 +162,12 @@ def _check_weights(lo: int, hi: int, exponent: int) -> None:
 
 
 class _Sieve(NamedTuple):
-    """The walk's progression sieve: n = r mod p strikes n^3 + k."""
+    """The walk's progression sieve: n = r mod p strikes n^3 + k from n =
+    top on, where every value exceeds every sieve prime."""
 
     p: np.ndarray  # int64 sieve prime of each progression
     r: np.ndarray  # int64 root of n^3 = -k mod p
-    first: int  # min_index(k): below it every value is < 2, and none is struck
-    own: tuple[int, ...]  # n >= first whose value is itself a sieve prime
+    top: int  # the first n whose value n^3 + k is above the sieve bound
 
 
 _SLICE_PRIMES = 1024  # _alive strikes p up to this by strided slices
@@ -178,27 +178,23 @@ def _prescreen(k: int, bound: int) -> _Sieve:
     """The progressions of every prime p <= bound that has roots mod p."""
     primes = primes_up_to(bound)
     i, r = _cube_roots(k, primes)
-    first = min_index(k)
-    # each value lies in [2, bound], so it is a sieve prime iff it is prime
-    own = tuple(n for n in range(first, _first_index_at_least(k, bound + 1))
-                if is_prime(n**3 + k))
-    return _Sieve(primes[i], r, first, own)
+    return _Sieve(primes[i], r, _first_index_at_least(k, bound + 1))
 
 
 def _alive(lo: int, hi: int, prescreen: _Sieve) -> np.ndarray:
-    """Progression sieve over n in [lo, hi]: False where a sieve prime p
-    divides n^3 + k > p.
+    """Progression sieve over n in [lo, hi]: False where n >= top and a
+    sieve prime divides n^3 + k. A struck value exceeds the bound, so it is
+    a proper multiple of its sieve prime and composite; the few values up to
+    the bound stay for the certifier, which refuses those below 2.
 
     Every progression is struck over the whole range: primes up to
     _SLICE_PRIMES by one strided slice each, the larger ones all together,
     their offsets advanced by p until they pass hi, so no array outgrows the
     progression list. The offsets (r - lo) mod p are exact for any Python
-    int lo (residues._residues). Then the values that the strike wrongly
-    covers are put back: those below 2 (where p | v gives v <= p) and a
-    value that is itself a sieve prime (its one factor is p = v).
+    int lo (residues._residues). Then the indices below top are put back.
 
-    Sieved to 10^5, the walk of k = 2 to 10^18 keeps 63,234 of its 10^6
-    indices (78,977 at 10^4), and each survivor costs one base-2 test. The
+    Sieved to 10^5, the walk of k = 2 to 10^18 keeps 63,275 of its 10^6
+    indices (78,995 at 10^4), and each survivor costs one base-2 test. The
     strikes of its 16 segments take about 0.011 s on 2 cores (0.017 s with
     slices only up to 256).
     """
@@ -215,11 +211,8 @@ def _alive(lo: int, hi: int, prescreen: _Sieve) -> np.ndarray:
         at, step = at[live], step[live]
         alive[at] = False
         at += step
-    if lo < prescreen.first:
-        alive[: min(prescreen.first, hi + 1) - lo] = True
-    for n in prescreen.own:
-        if lo <= n <= hi:
-            alive[n - lo] = True
+    if lo < prescreen.top:
+        alive[: min(prescreen.top, hi + 1) - lo] = True
     return alive
 
 
@@ -322,29 +315,6 @@ def _running_counts(k: int, bounds: list[int], stats: dict | None = None) -> lis
     if stats is not None:
         stats.update(workers=workers, segments=len(spans))
     return list(accumulate(per_bound))
-
-
-def count_cubic_primes(k: int, x: int) -> int:
-    """Number of n >= min_index(k) with n^3 + k prime and <= x."""
-    if x > U64_MAX:
-        raise CapacityError(f"x = {x} exceeds the unsigned 64-bit value budget")
-    return _running_counts(k, [max_index(k, x)])[0]
-
-
-def enumerate_cubic_primes(k: int, n_max: int) -> list[tuple[int, int]]:
-    """All (n, n^3 + k) with the value prime, for n from min_index(k) to n_max.
-
-    Every value goes to scalar is_prime, without the walk's sieve or batch
-    certifier, so this is a route independent of count_cubic_primes.
-    """
-    if n_max >= 0 and n_max**3 + k > U64_MAX:
-        raise CapacityError(f"n^3 + k at n = {n_max} exceeds the unsigned 64-bit value budget")
-    out = []
-    for n in range(min_index(k), n_max + 1):
-        v = n * n * n + k
-        if is_prime(v):
-            out.append((n, v))
-    return out
 
 
 def singular_series(k: int, p_cutoff: int) -> float:
@@ -522,7 +492,7 @@ def prime_power_tail(k: int, checkpoints: list[int]) -> list[tuple[float, float]
     if checkpoints[-1] > U64_MAX:
         raise CapacityError(f"x = {checkpoints[-1]} exceeds the unsigned 64-bit value budget")
     lo = max(1, min_index(k))
-    bounds = [max(max_index(k, x), lo - 1) for x in checkpoints]
+    bounds = [max_index(k, x) for x in checkpoints]
     _check_weights(lo, bounds[-1], 1)
     running, tail = {}, 0.0  # bound index -> the tail after its last hit
     for i, n, _, p in _walk(k, lo, bounds, primes=False):

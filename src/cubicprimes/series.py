@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import sieve_range
+from .arith import _mobius, primes_up_to, sieve_range
 from .dset import _check_checkpoints, _check_limit, _solvable_moduli
 from .errors import DomainError, ResourceError
 from .residues import QuadraticForm
@@ -55,10 +55,11 @@ def dirichlet_partial_sum(
         checkpoints = [x]
     _check_checkpoints(checkpoints, x)
     _check_limit(x)
-    tables = sieve_range(max(x, 2))
-    members = _solvable_moduli(k, x, tables.primes)
-    mu = tables.mu[members]
-    del tables
+    # the moduli are enumerated before the 1 B per entry Mobius table exists
+    primes = primes_up_to(x)
+    members = _solvable_moduli(k, x, primes)
+    mu = _mobius(primes, x)[members]
+    del primes
     keep = mu != 0
     members = members[keep]
     mu = mu[keep]

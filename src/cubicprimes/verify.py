@@ -68,12 +68,6 @@ def _check_floor(what: str, value: int, least: int) -> None:
         raise DomainError(f"{what} = {value} leaves no instance to check; it must be >= {least}")
 
 
-def _check_reads(suite: str, bound: str, readers: tuple[str, ...]) -> None:
-    if suite not in (*readers, "all"):
-        raise DomainError(
-            f"suite {suite!r} reads no {bound} bound; only {', '.join(readers)} and all do")
-
-
 def _close(a: float, b: float, rel: float) -> bool:
     return math.isclose(a, b, rel_tol=rel, abs_tol=1e-12)
 
@@ -332,25 +326,31 @@ def progression_checks(trials: int, seed: int, q_max: int, x_max: int,
 
 
 def run_suite(suite: str, scale: str = "tiny", *, n_max: int | None = None,
-              p_max: int | None = None, sample_seed: int = 0,
-              k: int = 2) -> list[CheckResult]:
+              p_max: int | None = None, sample_seed: int | None = None,
+              k: int | None = None) -> list[CheckResult]:
     """Run one named suite (or all of them) and return its check results.
 
     n_max, when given, replaces the scale's bounds of lemma2 (both checks)
-    and rho, and p_max that of lemma3; a suite that reads neither bound
-    refuses it with DomainError.
+    and rho, and p_max that of lemma3. The shift k (default 2) is read by
+    rho, eq3 and lemma4, and sample_seed (default 0) by lemma4. A suite
+    that does not read a given parameter refuses it with DomainError.
     """
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
     if scale not in _BOUNDS:
         raise DomainError(f"unknown scale {scale!r}")
-    b = dict(_BOUNDS[scale])
-    if n_max is not None:
-        _check_reads(suite, "n_max (--nmax)", ("lemma2", "rho"))
-        b.update(mangoldt_n=n_max, divisor_n=n_max, rho_q=n_max)
-    if p_max is not None:
-        _check_reads(suite, "p_max (--pmax)", ("lemma3",))
-        b.update(gauss_p=p_max)
+    b = dict(_BOUNDS[scale], k=2, seed=0)
+    for value, what, readers, keys in (
+        (n_max, "n_max (--nmax) bound", ("lemma2", "rho"), ("mangoldt_n", "divisor_n", "rho_q")),
+        (p_max, "p_max (--pmax) bound", ("lemma3",), ("gauss_p",)),
+        (k, "shift k (--k)", ("rho", "eq3", "lemma4"), ("k",)),
+        (sample_seed, "sample_seed (--sample-seed)", ("lemma4",), ("seed",)),
+    ):
+        if value is not None:
+            if suite not in (*readers, "all"):
+                raise DomainError(
+                    f"suite {suite!r} reads no {what}; only {', '.join(readers)} and all do")
+            b.update(dict.fromkeys(keys, value))
     out: list[CheckResult] = []
     if suite in ("lemma2", "all"):
         out.append(mangoldt_identity(b["mangoldt_n"]))
@@ -358,10 +358,10 @@ def run_suite(suite: str, scale: str = "tiny", *, n_max: int | None = None,
     if suite in ("lemma3", "all"):
         out.append(gauss_euler_split(b["gauss_p"]))
     if suite in ("rho", "all"):
-        out.append(rho_against_scan(b["rho_q"], k))
+        out.append(rho_against_scan(b["rho_q"], b["k"]))
     if suite in ("eq3", "all"):
-        out.extend(lambda_identity(b["eq3_x"], k))
+        out.extend(lambda_identity(b["eq3_x"], b["k"]))
     if suite in ("lemma4", "all"):
         out.extend(progression_checks(
-            b["lemma4_trials"], sample_seed, b["lemma4_q"], b["lemma4_x"], -k))
+            b["lemma4_trials"], b["seed"], b["lemma4_q"], b["lemma4_x"], -b["k"]))
     return out

@@ -203,7 +203,7 @@ class TestPrimalityBatch:
 
     def test_prescreen_survivors_of_k2_to_1e15(self):
         lo, hi = min_index(2), max_index(2, 10**15)
-        # sieved to 10^4, not the walk's 10^5, to keep 7,853 survivors
+        # sieved to 10^4, not the walk's 10^5, to keep 7,871 survivors
         alive = np.flatnonzero(_alive(lo, hi, _prescreen(2, 10**4)))
         n = alive + lo
         assert alive.size > 7000

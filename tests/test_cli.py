@@ -434,6 +434,24 @@ EDGE_ARGVS = [
     (["verify", "--suite", "eq3", "--nmax", "5"], 2),
     (["verify", "--suite", "lemma2", "--pmax", "5"], 2),
     (["verify", "--suite", "lemma4", "--pmax", "5"], 2),
+    # a shift or a seed that the suite never reads, and both where it does
+    (["verify", "--suite", "lemma3", "--k", "54"], 2),
+    (["verify", "--suite", "lemma2", "--k", "2"], 2),
+    (["verify", "--suite", "lemma2", "--sample-seed", "1"], 2),
+    (["verify", "--suite", "rho", "--sample-seed", "0"], 2),
+    (["verify", "--suite", "eq3", "--sample-seed", "1"], 2),
+    (["verify", "--suite", "lemma4", "--k", "54", "--sample-seed", "3"], 0),
+    # both flags of a pair, where one would be dropped unread, or neither
+    # where one is needed, and an empty list
+    (["count", "--k", "2", "--x", "1000000", "--checkpoints", "1000,100000"], 2),
+    (["count", "--k", "2"], 2),
+    (["tail", "--k", "-2", "--x", "1000", "--checkpoints", "1000"], 2),
+    (["tail", "--k", "-2"], 2),
+    (["constant", "--k", "2", "--pmax", "100", "--checkpoints", "100,1000"], 2),
+    (["dset", "--k", "2", "--x", "100", "--checkpoints="], 2),
+    (["count", "--k", "2", "--checkpoints", ","], 2),
+    # verify prints text only and takes no --format
+    (["verify", "--suite", "lemma4", "--format", "json"], 2),
     (["rho", "--k", "2", "--q", "0"], 2),
     (["epstein", "--form", "0,0,0", "--s", "2", "--x", "100"], 2),
     (["lemma4", "--q", "0", "--a", "1", "--x", "10"], 2),
@@ -458,9 +476,15 @@ EDGE_ARGVS = [
 ]
 
 
-# refusals of a bound whose parameter is named apart from its flag: the
-# message must name the flag that was typed
+# refusals of a parameter that is named apart from its flag, or of a flag
+# the command does not take: the message must name the flag that was typed
 NAMES_FLAG = {
+    ("verify", "--suite", "lemma4", "--format", "json"): "--format",
+    ("verify", "--suite", "lemma3", "--k", "54"): "--k",
+    ("verify", "--suite", "lemma2", "--k", "2"): "--k",
+    ("verify", "--suite", "lemma2", "--sample-seed", "1"): "--sample-seed",
+    ("verify", "--suite", "rho", "--sample-seed", "0"): "--sample-seed",
+    ("verify", "--suite", "eq3", "--sample-seed", "1"): "--sample-seed",
     ("verify", "--suite", "lemma2", "--nmax", "0"): "--nmax",
     ("verify", "--suite", "lemma2", "--nmax", "1"): "--nmax",
     ("verify", "--suite", "lemma2", "--nmax", "-5"): "--nmax",
@@ -485,14 +509,3 @@ def test_edge_argv_exits_without_traceback(argv, code):
     if code:
         assert proc.stderr.startswith("error:") and proc.stdout == ""
     assert NAMES_FLAG.get(tuple(argv), "") in proc.stderr
-
-
-def test_verify_refuses_format():
-    # verify prints text only; argparse refuses --format with usage first, so
-    # this is not one of EDGE_ARGVS, whose refusals start with "error:"
-    proc = subprocess.run(
-        [sys.executable, "-m", "cubicprimes.cli", "verify", "--suite", "lemma4", "--format", "json"],
-        capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "--format" in proc.stderr and proc.stdout == ""

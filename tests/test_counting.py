@@ -18,9 +18,7 @@ from cubicprimes import (
     DomainError,
     ResourceError,
     Weight,
-    count_cubic_primes,
     count_table,
-    enumerate_cubic_primes,
     factorize,
     integer_root,
     is_prime,
@@ -43,8 +41,8 @@ from cubicprimes.counting import (
     _ROOT_EXPONENTS,
     _SEGMENT,
     _alive,
-    _first_index_at_least,
     _prescreen,
+    _prime_mask,
     _prime_power_base,
     _running_counts,
     _walk,
@@ -52,6 +50,23 @@ from cubicprimes.counting import (
 from cubicprimes.residues import _rho_prime
 
 POWER1 = Weight("power", 1)
+
+
+def enumerate_cubic_primes(k: int, n_max: int) -> list[tuple[int, int]]:
+    """All (n, n^3 + k) with the value prime, for n from min_index(k) to
+    n_max: the scalar reference route of the counts, which hands every value
+    to scalar is_prime, without the walk's sieve or batch certifier."""
+    out = []
+    for n in range(min_index(k), n_max + 1):
+        v = n * n * n + k
+        if is_prime(v):
+            out.append((n, v))
+    return out
+
+
+def observed(k: int, x: int) -> int:
+    """count_table's count of the primes n^3 + k <= x, for x >= 8."""
+    return count_table(k, [x], 100)[0].observed
 
 
 @lru_cache(maxsize=None)
@@ -140,27 +155,28 @@ class TestEnumerate:
 
 class TestCount:
     def test_reference_130(self):
-        assert count_cubic_primes(2, 130) == 4
+        assert observed(2, 130) == 4
 
     def test_empty_range(self):
-        assert count_cubic_primes(2, 1) == 0
+        # the least value of n^3 - 17 that is at least 2 is 3^3 - 17 = 10
+        assert observed(-17, 9) == 0
 
     def test_million(self):
-        assert count_cubic_primes(2, 10**6) == 11
+        assert observed(2, 10**6) == 11
 
     def test_matches_enumeration_boundary(self):
         for n_max in (5, 20, 50):
             x = n_max**3 + 2
-            assert count_cubic_primes(2, x) == len(enumerate_cubic_primes(2, n_max))
+            assert observed(2, x) == len(enumerate_cubic_primes(2, n_max))
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            count_cubic_primes(2, 2**64)
+            count_table(2, [2**64], 100)
 
-    @given(x=st.integers(2, 10**5))
+    @given(x=st.integers(8, 10**5))
     @settings(max_examples=60, deadline=None)
     def test_nondecreasing(self, x):
-        assert count_cubic_primes(2, x) <= count_cubic_primes(2, x + 1000)
+        assert observed(2, x) <= observed(2, x + 1000)
 
     def test_trillion_sampled_against_trial_division(self):
         pairs = enumerate_cubic_primes(2, 9999)
@@ -228,7 +244,7 @@ class TestCountTable:
 
     def test_ratio_order_of_magnitude(self):
         [record] = count_table(2, [10**6], 10**4)
-        assert record.observed == count_cubic_primes(2, 10**6)
+        assert record.observed == len(enumerate_cubic_primes(2, max_index(2, 10**6)))
         assert 0.5 <= record.ratio <= 2.0
 
     def test_single_checkpoint(self):
@@ -268,10 +284,7 @@ class TestCountTable:
     def test_single_pass_matches_individual_counts(self):
         records = count_table(2, [10**3, 10**5, 10**6], 100)
         assert [r.observed for r in records] == [
-            count_cubic_primes(2, 10**3),
-            count_cubic_primes(2, 10**5),
-            count_cubic_primes(2, 10**6),
-        ]
+            observed(2, 10**3), observed(2, 10**5), observed(2, 10**6)]
 
 
 class TestWeightedLambdaSum:
@@ -488,21 +501,22 @@ class TestSegmentedWalk:
 
     @pytest.mark.parametrize("k", [2, -2, 54, 250, -128, 2**62 + 1])
     def test_alive_matches_its_definition(self, k):
-        # n is struck iff a sieve prime p divides v = n^3 + k and v > p; for
-        # k = 54 that strikes n = -3 (v = 27) and n = -2 (v = 46)
+        # n is struck iff v = n^3 + k is above the sieve bound and a sieve
+        # prime divides v; for k = 54 that strikes n = 10 (v = 1054 = 2 * 17
+        # * 31) but neither n = -3 (v = 27) nor n = 9 (v = 783 = 27 * 29)
         primes = primes_up_to(1000).tolist()
         prescreen = _prescreen(k, 1000)
         for lo, hi in ((-60, 60), (min_index(k) - 20, min_index(k) + 300)):
             alive = _alive(lo, hi, prescreen)
             for n in range(lo, hi + 1):
                 v = n**3 + k
-                struck = any(v % p == 0 and v > p for p in primes)
+                struck = v > 1000 and any(v % p == 0 for p in primes)
                 assert alive[n - lo] == (not struck), n
 
     @pytest.mark.parametrize("k", [2, -2, 54, 7 - 10**399], ids=["2", "-2", "54", "7-10^399"])
     def test_alive_at_the_walks_deepest_bound(self, k):
         # every prime below 10^5 sieves: the first window holds values below
-        # 2 and values that are sieve primes themselves, the second only
+        # 2 and values up to the bound, none of them struck, the second only
         # values above 10^5; for 7 - 10^399 the index passes 10^133. Each n
         # also ends a window of its own, where the strike has to stop.
         primes = primes_up_to(10**5).tolist()
@@ -512,16 +526,18 @@ class TestSegmentedWalk:
             alive = _alive(lo, hi, prescreen)
             for n in range(lo, hi + 1):
                 v = n**3 + k
-                struck = any(v % p == 0 and v > p for p in primes)
+                struck = v > 10**5 and any(v % p == 0 for p in primes)
                 assert alive[n - lo] == _alive(lo, n, prescreen)[-1] == (not struck), n
 
     def test_power_of_a_prescreen_prime_is_found(self):
-        # 3^3 - 2 = 5^2: the progression sieve strikes n = 3 (5 divides 25),
-        # so only the power test can hand this value on
-        assert not _alive(3, 3, _prescreen(-2, 1000))[0]
-        rec = weighted_lambda_sum(-2, POWER1, 10**9)
-        assert rec.tail_value == 3 * math.log(5)
-        assert prime_power_tail(-2, [10**14])[0][0] == 3 * math.log(5)
+        # 7^3 - 54 = 17^2 lies above the bound 100: the progression sieve
+        # strikes n = 7 (17 divides 289), so only the power test can hand
+        # this value on. Both walks below sieve with the primes up to 100
+        # or 1000, and it is the one prime power of the shift up to 10^14.
+        assert not _alive(7, 7, _prescreen(-54, 100))[0]
+        rec = weighted_lambda_sum(-54, POWER1, 10**9)
+        assert rec.tail_value == 7 * math.log(17)
+        assert prime_power_tail(-54, [10**14])[0][0] == 7 * math.log(17)
 
     def test_is_power_is_exact(self):
         for q in _ROOT_EXPONENTS:
@@ -566,19 +582,23 @@ class TestSegmentedWalk:
             prime_power_tail(2, [10, 2**64])
 
 
-@lru_cache(maxsize=None)
-def prime_set(bound: int) -> frozenset[int]:
-    return frozenset(primes_up_to(bound).tolist())
-
-
 @pytest.mark.parametrize("bound", [10**5, 10**7])
 @pytest.mark.parametrize("k", [2, -17, 250])
-def test_prescreen_own_matches_its_definition(k, bound):
-    # the n from min_index(k) whose value n^3 + k is itself a sieve prime
-    stop = _first_index_at_least(k, bound + 1)
-    expected = tuple(n for n in range(min_index(k), stop) if n**3 + k in prime_set(bound))
-    assert _prescreen.__wrapped__(k, bound).own == expected
-    assert expected
+def test_prescreen_top_matches_its_definition(k, bound):
+    # the first n whose value n^3 + k is above the sieve bound
+    top = _prescreen.__wrapped__(k, bound).top
+    assert (top - 1) ** 3 + k <= bound < top**3 + k
+    assert top > min_index(k)
+
+
+@pytest.mark.parametrize("bound", [100, 10**3, 10**5])
+@pytest.mark.parametrize("k", [2, -17, 54, 250])
+def test_prime_mask_from_the_first_index_equals_scalar_is_prime(k, bound):
+    # the values up to the sieve bound, sieve primes among them, go unstruck
+    # to the batch certifier; the values above it are sieved
+    lo = min_index(k)
+    mask = _prime_mask(k, lo, lo + 199, _prescreen(k, bound))
+    assert mask.tolist() == [is_prime(n**3 + k) for n in range(lo, lo + 200)]
 
 
 def edge_checkpoints(k: int) -> list[int]:
@@ -624,8 +644,7 @@ class TestSplitWalk:
             tables.append(count_table(k, checkpoints, 100, stats))
             assert stats == {"workers": workers, "segments": 9}
         assert tables[0] == tables[1] == tables[2]
-        assert [r.observed for r in tables[0]] == [
-            count_cubic_primes(k, x) for x in checkpoints]
+        assert [r.observed for r in tables[0]] == [observed(k, x) for x in checkpoints]
         assert os.getpid() == pid
         assert len(forks) >= 3  # 1 + 2 for the walks, more for some single counts
         for child in forks:
