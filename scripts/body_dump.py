@@ -52,7 +52,7 @@ COMMANDS = [
     *(["chebyshev", "--k", str(k), "--x", "10000000000000"] for k in BENCH_K),
     *(["chebyshev", "--k", "2", "--x", "1000000000", "--weight", w]
       for w in ("totient", "sigma", "tau")),
-    ["dseries", "--k", "2", "--x", "1000000", "--checkpoints", "1000,100000,1000000"],
+    ["dseries", "--k", "2", "--checkpoints", "1000,100000,1000000"],
     ["chebyshev", "--k", "17", "--x", "1000000"],
     *(["tail", "--k", str(-k), "--checkpoints", "1000000000,1000000000000,100000000000000"]
       for k in BENCH_K),
@@ -119,7 +119,7 @@ COMMANDS = [
                                                     4 + 2**16 + 1)])],  # 4 = min_index(-54)
     # the partial sums at s != 1, and at a repeated checkpoint off the decades
     ["dseries", "--k", "2", "--s", "1.5", "--x", "100000"],
-    ["dseries", "--k", "-17", "--x", "100000", "--checkpoints", "10,1000,1000,100000"],
+    ["dseries", "--k", "-17", "--checkpoints", "10,1000,1000,100000"],
     # the half-plane lattice sweep with b != 0 (odd b at an odd bound), and
     # the Mobius sieve's even fill at a bound = 2 mod 4
     ["epstein", "--form", "2,1,3", "--s", "1", "--mu", "--x", "99999"],
@@ -136,6 +136,10 @@ COMMANDS = [
     ["chebyshev", "--k", "28", "--x", "1000000000000"],
     ["chebyshev", "--k", "250", "--x", "1000000000000000"],
     ["verify", "--suite", "eq3", "--scale", "full", "--k", "28"],
+    # rows at listed checkpoints only, and Lemma 4 over every solvable
+    # squarefree modulus of another shift
+    ["dset", "--k", "2", "--checkpoints", "10,100,1000"],
+    ["verify", "--suite", "lemma4", "--scale", "full", "--k", "54"],
 ]
 
 

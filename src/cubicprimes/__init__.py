@@ -30,7 +30,6 @@ from .counting import (
     weighted_lambda_sum,
 )
 from .dset import (
-    DsetStats,
     dset_density,
     enumerate_dset,
     in_dset,
@@ -73,7 +72,7 @@ __all__ = [
     "CountRecord", "ProgressionSum", "Weight", "WeightedSumRecord",
     "count_table", "lambda_sum_rhs", "max_index", "min_index", "prime_power_tail",
     "progression_weighted_sum", "singular_series", "weighted_lambda_sum",
-    "DsetStats", "dset_density", "enumerate_dset", "in_dset",
+    "dset_density", "enumerate_dset", "in_dset",
     "CapacityError", "ConsistencyError", "DomainError", "ResourceError",
     "NONRESIDUE_FORM", "RESIDUE_FORM", "Branch", "CubicClass", "CubicTag",
     "PrimeClass", "QuadraticForm", "cubic_residue_euler", "gauss_classify",

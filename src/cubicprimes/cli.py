@@ -170,16 +170,12 @@ def _cmd_rho(args: argparse.Namespace) -> OutputTable:
 
 
 def _cmd_dset(args: argparse.Namespace) -> OutputTable:
-    checkpoints = args.checkpoints or _log_checkpoints(args.x)
-    stats = dset_density(args.k, args.x, checkpoints)
-    return OutputTable(
-        "dset", ("x", "members", "ratio"), stats.checkpoints,
-        extra={"k": args.k})
+    rows = dset_density(args.k, args.checkpoints or _log_checkpoints(args.x))
+    return OutputTable("dset", ("x", "members", "ratio"), rows, extra={"k": args.k})
 
 
 def _cmd_dseries(args: argparse.Namespace) -> OutputTable:
-    records = dirichlet_partial_sum(
-        args.k, args.s, args.x, args.checkpoints or _log_checkpoints(args.x))
+    records = dirichlet_partial_sum(args.k, args.s, args.checkpoints or _log_checkpoints(args.x))
     rows = [(r.x, args.s, r.value, r.terms_used) for r in records]
     return OutputTable(
         "dseries", ("x", "s", "value", "terms_used"), rows, extra={"k": args.k})
@@ -227,9 +223,7 @@ def _cmd_tail(args: argparse.Namespace) -> OutputTable:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    results = run_suite(
-        args.suite, scale=args.scale, n_max=args.nmax, p_max=args.pmax,
-        sample_seed=args.sample_seed, k=args.k)
+    results = run_suite(args.suite, scale=args.scale, n_max=args.nmax, p_max=args.pmax, k=args.k)
     lines = [
         f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
     ]
@@ -261,11 +255,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="write output to this path instead of stdout")
         return sp
 
+    def x_or_checkpoints(sp: argparse.ArgumentParser, x_help: str) -> None:
+        xs = sp.add_mutually_exclusive_group(required=True)
+        xs.add_argument("--x", type=int, help=x_help)
+        xs.add_argument("--checkpoints", type=_int_list, help="one row at each listed x")
+
     sp = add("count", _cmd_count, "count primes n^3 + k up to x against the prediction")
     sp.add_argument("--k", type=int, required=True)
-    xs = sp.add_mutually_exclusive_group(required=True)
-    xs.add_argument("--x", type=int)
-    xs.add_argument("--checkpoints", type=_int_list)
+    x_or_checkpoints(sp, "one row at x")
     sp.add_argument("--pmax", type=int, default=10**6,
                     help="prime cutoff for the predicted constant")
 
@@ -286,14 +283,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("dset", _cmd_dset, "solvable-moduli counts and density")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--x", type=int, required=True)
-    sp.add_argument("--checkpoints", type=_int_list)
+    x_or_checkpoints(sp, "decade rows up to x")
 
     sp = add("dseries", _cmd_dseries, "partial sums of mu(n) log n / n^s over solvable moduli")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--s", type=float, default=1.0)
-    sp.add_argument("--x", type=int, required=True)
-    sp.add_argument("--checkpoints", type=_int_list)
+    x_or_checkpoints(sp, "decade rows up to x")
 
     sp = add("epstein", _cmd_epstein, "partial Epstein zeta values of a binary form")
     sp.add_argument("--form", type=_form_triple, required=True,
@@ -318,9 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("tail", _cmd_tail, "prime-power part of the weighted sum, with its bound")
     sp.add_argument("--k", type=int, required=True)
-    xs = sp.add_mutually_exclusive_group(required=True)
-    xs.add_argument("--x", type=int)
-    xs.add_argument("--checkpoints", type=_int_list)
+    x_or_checkpoints(sp, "one row at x")
 
     sp = add("verify", _cmd_verify, "run a named self-check suite", table=False)
     sp.add_argument("--suite", choices=SUITES, required=True)
@@ -330,8 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          "other suites refuse it")
     sp.add_argument("--pmax", type=int,
                     help="bound for lemma3 and all, at least 7; other suites refuse it")
-    sp.add_argument("--sample-seed", type=int,
-                    help="seed for lemma4 and all (default 0); other suites refuse it")
     sp.add_argument("--k", type=int,
                     help="shift for rho, eq3, lemma4 and all (default 2); other suites refuse it")
 

@@ -12,7 +12,6 @@ oracle rho_bruteforce that the tests compare it against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,31 +108,22 @@ def _solvable_moduli(k: int, limit: int, primes: np.ndarray) -> np.ndarray:
     return np.flatnonzero(ok)
 
 
-@dataclass(frozen=True)
-class DsetStats:
-    """Counts of solvable moduli at checkpoints.
-
-    checkpoints holds (x, count_at_x, count_at_x / x) triples.
-    """
-
-    checkpoints: list[tuple[int, int, float]]
-
-
-def _check_checkpoints(checkpoints: list[int], x: int) -> None:
-    """Refuse a checkpoint list unless it is nonempty, ascending and inside
-    [1, x]."""
+def _check_checkpoints(checkpoints: list[int]) -> int:
+    """Refuse a checkpoint list that is empty, descends or starts below 1,
+    or that ends past the enumeration budget; return its last entry, the
+    limit to enumerate to."""
     if not checkpoints or sorted(checkpoints) != list(checkpoints):
         raise DomainError("checkpoints must be nonempty and ascending")
-    if checkpoints[-1] > x or checkpoints[0] < 1:
-        raise DomainError("checkpoints must lie in [1, x]")
+    if checkpoints[0] < 1:
+        raise DomainError(f"x = {checkpoints[0]} is below 1")
+    _check_limit(checkpoints[-1])
+    return checkpoints[-1]
 
 
-def dset_density(k: int, limit: int, checkpoints: list[int]) -> DsetStats:
-    """Membership counts and density ratios at the given checkpoints."""
-    _check_checkpoints(checkpoints, limit)
-    members = enumerate_dset(k, limit)
-    rows = []
-    for x in checkpoints:
-        cnt = int(np.searchsorted(members, x, side="right"))
-        rows.append((x, cnt, cnt / x))
-    return DsetStats(checkpoints=rows)
+def dset_density(k: int, checkpoints: list[int]) -> list[tuple[int, int, float]]:
+    """(x, members, members / x) at each checkpoint x, where members
+    counts the solvable moduli up to x, from one enumeration up to the
+    last checkpoint."""
+    members = enumerate_dset(k, _check_checkpoints(checkpoints))
+    counts = np.searchsorted(members, checkpoints, side="right").tolist()
+    return [(x, cnt, cnt / x) for x, cnt in zip(checkpoints, counts)]

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import _mobius, primes_up_to, sieve_range
-from .dset import _check_checkpoints, _check_limit, _solvable_moduli
-from .errors import DomainError, ResourceError
+from .dset import _check_checkpoints, _solvable_moduli
+from .errors import CapacityError, DomainError, ResourceError
 from .residues import QuadraticForm
 
 EPSTEIN_BUDGET = 10**7
@@ -32,29 +32,19 @@ class PartialSumRecord:
     terms_used: int
 
 
-def dirichlet_partial_sum(
-    k: int,
-    s: float,
-    x: int,
-    checkpoints: list[int] | None = None,
-) -> list[PartialSumRecord]:
-    """Partial sums of mu(n) log(n) / n^s over the moduli n <= x at which
-    x^3 + k is solvable.
+def dirichlet_partial_sum(k: int, s: float, checkpoints: list[int]) -> list[PartialSumRecord]:
+    """Partial sums of mu(n) log(n) / n^s over the moduli n at which
+    x^3 + k is solvable, up to each of the ascending checkpoints.
 
-    Records are emitted at each checkpoint (default: only at x). The sum
-    is a single ascending left-to-right accumulation, so a checkpoint
-    value never depends on what lies beyond it.
+    The sum is a single ascending left-to-right accumulation up to the
+    last checkpoint, so a checkpoint value never depends on what lies
+    beyond it.
     """
     if not math.isfinite(s):
         raise DomainError(f"s = {s} is not finite")
     if s < 1:
         raise DomainError(f"s = {s} below 1")
-    if x < 1:
-        raise DomainError("x must be >= 1")
-    if checkpoints is None:
-        checkpoints = [x]
-    _check_checkpoints(checkpoints, x)
-    _check_limit(x)
+    x = _check_checkpoints(checkpoints)
     # the moduli are enumerated before the 1 B per entry Mobius table exists
     primes = primes_up_to(x)
     members = _solvable_moduli(k, x, primes)
@@ -91,8 +81,20 @@ def epstein_r(form: QuadraticForm, n: int) -> int:
 
 def _ymax(form: QuadraticForm, n_max: int) -> int:
     """The largest |y| of a lattice point with form value <= n_max: from
-    4a form(u, y) = (2au + by)^2 + |disc| y^2."""
-    return math.isqrt(4 * form.a * n_max // -form.discriminant)
+    4a form(u, y) = (2au + by)^2 + |disc| y^2.
+
+    Every sweep calls it before it forms a row, and it refuses a sweep
+    whose int64 rows could overflow. A row's |u|, margins included, is at
+    most umax = (|b| ymax + sqrt(4a n_max)) / 2a + 2, so no product or
+    partial sum of a u^2 + b u y + c y^2 passes
+    a umax^2 + |b| umax max(ymax, 1) + c ymax^2.
+    """
+    a, b, c = form.a, abs(form.b), form.c
+    ymax = math.isqrt(4 * a * n_max // -form.discriminant)
+    umax = (b * ymax + math.isqrt(4 * a * n_max)) // (2 * a) + 2
+    if a * umax * umax + b * umax * max(ymax, 1) + c * ymax * ymax >= 2**63:
+        raise CapacityError(f"form {form} up to {n_max}: lattice row values could pass int64")
+    return ymax
 
 
 def _lattice_row(form: QuadraticForm, n_max: int, y: int) -> np.ndarray:

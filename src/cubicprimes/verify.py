@@ -9,21 +9,15 @@ scale, so the bounds here are parameters rather than constants.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import _multiples, factorize, primes_up_to, sieve_range
+from .arith import _multiples, primes_up_to, sieve_range
 from .counting import Weight, lambda_sum_rhs, progression_weighted_sum, weighted_lambda_sum
 from .errors import DomainError, ResourceError
-from .residues import (
-    NONRESIDUE_FORM,
-    RESIDUE_FORM,
-    QuadraticForm,
-    _rho_primes,
-    roots_mod,
-)
+from .dset import enumerate_dset
+from .residues import NONRESIDUE_FORM, RESIDUE_FORM, QuadraticForm, _rho_primes
 from .series import _lattice_row, _ymax
 
 SUITES = ("lemma2", "lemma3", "lemma4", "rho", "eq3", "all")
@@ -43,9 +37,9 @@ RHO_SCAN_BUDGET = 10**5
 # whole run under a minute for interactive use
 _BOUNDS = {
     "full": dict(mangoldt_n=10**5, divisor_n=10**6, gauss_p=10**6, rho_q=10**4,
-                 eq3_x=(100, 1000, 10000), lemma4_trials=200, lemma4_q=10**3, lemma4_x=10**5),
+                 eq3_x=(100, 1000, 10000), lemma4_q=10**3, lemma4_x=10**5),
     "tiny": dict(mangoldt_n=2000, divisor_n=10**4, gauss_p=2 * 10**4, rho_q=10**3,
-                 eq3_x=(100, 1000), lemma4_trials=40, lemma4_q=300, lemma4_x=2 * 10**4),
+                 eq3_x=(100, 1000), lemma4_q=300, lemma4_x=2 * 10**4),
 }
 
 
@@ -279,39 +273,36 @@ def lambda_identity(xs, k: int = 2) -> list[CheckResult]:
     return out
 
 
-def progression_checks(trials: int, seed: int, q_max: int, x_max: int,
-                       a: int = -2) -> list[CheckResult]:
-    """Random solvable (q, x) instances: iteration equals the corrected
-    closed form exactly; the leading term is within 5 percent once
-    x >= 100q. Also re-derives the dropped first term of the uncorrected
-    form on the q=5, x=20 instance."""
-    rng = random.Random(seed)
-    results = []
-    exact_ok, band_ok, band_checked = True, True, 0
+def progression_checks(q_max: int, x_max: int, a: int = -2) -> list[CheckResult]:
+    """Every squarefree q <= q_max at which n^3 = a mod q is solvable, at
+    x = 1, q and x_max: iteration equals the corrected closed form exactly,
+    and the leading term is within 5 percent once x >= 100q. x = 1 leaves
+    a root above x, x = q gives every root its m = 0 term, and x = x_max
+    reaches the leading-term band. A failure names the least (q, x). Also
+    re-derives the dropped first term of the uncorrected form on the
+    q=5, x=20 instance."""
+    qs = enumerate_dset(-a, q_max)
+    qs = qs[sieve_range(max(q_max, 2)).mu[qs] != 0].tolist()
     exact_detail = band_detail = ""
-    done = 0
-    while done < trials:
-        q = rng.randint(1, q_max)
-        if not factorize(q).is_squarefree or not roots_mod(-a, q):
-            continue
-        x = rng.randint(1, x_max)
-        ps = progression_weighted_sum(q, a, x)
-        done += 1
-        if ps.exact != ps.closed_form and exact_ok:
-            exact_ok = False
-            exact_detail = f"q={q} x={x}: iterated {ps.exact} vs closed {ps.closed_form}"
-        if x >= 100 * q and ps.exact:
-            band_checked += 1
-            r = ps.exact / ps.leading
-            if not 0.95 <= r <= 1.05 and band_ok:
-                band_ok = False
-                band_detail = f"q={q} x={x}: exact/leading = {r!r}"
-    results.append(CheckResult(
-        "progression-closed-form", exact_ok,
-        exact_detail or f"{trials} random solvable instances match exactly"))
-    results.append(CheckResult(
-        "progression-leading-band", band_ok,
-        band_detail or f"{band_checked} instances with x >= 100q inside [0.95, 1.05]"))
+    done = band_checked = 0
+    for q in qs:
+        for x in sorted((1, q, x_max)):
+            ps = progression_weighted_sum(q, a, x)
+            done += 1
+            if ps.exact != ps.closed_form and not exact_detail:
+                exact_detail = f"q={q} x={x}: iterated {ps.exact} vs closed {ps.closed_form}"
+            if x >= 100 * q and ps.exact:
+                band_checked += 1
+                r = ps.exact / ps.leading
+                if not 0.95 <= r <= 1.05 and not band_detail:
+                    band_detail = f"q={q} x={x}: exact/leading = {r!r}"
+    results = [
+        CheckResult("progression-closed-form", not exact_detail, exact_detail or (
+            f"{done} instances (x = 1, q, {x_max}) over the {len(qs)} solvable "
+            f"squarefree q <= {q_max} match exactly")),
+        CheckResult("progression-leading-band", not band_detail, band_detail or (
+            f"{band_checked} instances with x >= 100q inside [0.95, 1.05]")),
+    ]
 
     ps = progression_weighted_sum(5, -2, 20)
     b = ps.roots[0]
@@ -326,25 +317,23 @@ def progression_checks(trials: int, seed: int, q_max: int, x_max: int,
 
 
 def run_suite(suite: str, scale: str = "tiny", *, n_max: int | None = None,
-              p_max: int | None = None, sample_seed: int | None = None,
-              k: int | None = None) -> list[CheckResult]:
+              p_max: int | None = None, k: int | None = None) -> list[CheckResult]:
     """Run one named suite (or all of them) and return its check results.
 
     n_max, when given, replaces the scale's bounds of lemma2 (both checks)
     and rho, and p_max that of lemma3. The shift k (default 2) is read by
-    rho, eq3 and lemma4, and sample_seed (default 0) by lemma4. A suite
-    that does not read a given parameter refuses it with DomainError.
+    rho, eq3 and lemma4. A suite that does not read a given parameter
+    refuses it with DomainError.
     """
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
     if scale not in _BOUNDS:
         raise DomainError(f"unknown scale {scale!r}")
-    b = dict(_BOUNDS[scale], k=2, seed=0)
+    b = dict(_BOUNDS[scale], k=2)
     for value, what, readers, keys in (
         (n_max, "n_max (--nmax) bound", ("lemma2", "rho"), ("mangoldt_n", "divisor_n", "rho_q")),
         (p_max, "p_max (--pmax) bound", ("lemma3",), ("gauss_p",)),
         (k, "shift k (--k)", ("rho", "eq3", "lemma4"), ("k",)),
-        (sample_seed, "sample_seed (--sample-seed)", ("lemma4",), ("seed",)),
     ):
         if value is not None:
             if suite not in (*readers, "all"):
@@ -362,6 +351,5 @@ def run_suite(suite: str, scale: str = "tiny", *, n_max: int | None = None,
     if suite in ("eq3", "all"):
         out.extend(lambda_identity(b["eq3_x"], b["k"]))
     if suite in ("lemma4", "all"):
-        out.extend(progression_checks(
-            b["lemma4_trials"], b["seed"], b["lemma4_q"], b["lemma4_x"], -b["k"]))
+        out.extend(progression_checks(b["lemma4_q"], b["lemma4_x"], -b["k"]))
     return out

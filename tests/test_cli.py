@@ -1,6 +1,10 @@
+import dataclasses
+import importlib.util
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -295,14 +299,13 @@ class TestFlags:
         assert payload["rows"] == [[x, *counting.prime_power_tail(-2, [x])[0]] for x in xs]
 
     @pytest.mark.parametrize("s", [1.0, 1.5])
-    @pytest.mark.parametrize("x, checkpoints, xs", [
-        (100000, ["--checkpoints", "1000,50000,100000"], [1000, 50000, 100000]),
-        # the default decade checkpoints, a single one at x = 10
-        (100000, [], [10, 100, 1000, 10000, 100000]),
-        (10, [], [10]),
+    @pytest.mark.parametrize("rows, xs", [
+        (["--checkpoints", "1000,50000,100000"], [1000, 50000, 100000]),
+        # the decade rows of --x, a single one at x = 10
+        (["--x", "100000"], [10, 100, 1000, 10000, 100000]),
+        (["--x", "10"], [10]),
     ])
-    def test_dseries_checkpoints_are_one_enumeration(self, capsys, monkeypatch, s, x,
-                                                     checkpoints, xs):
+    def test_dseries_checkpoints_are_one_enumeration(self, capsys, monkeypatch, s, rows, xs):
         calls = []
         original = series._solvable_moduli
 
@@ -312,15 +315,15 @@ class TestFlags:
 
         monkeypatch.setattr(series, "_solvable_moduli", counted)
         _, payload = run_json(
-            capsys, ["dseries", "--k", "2", "--x", str(x), "--s", str(s), *checkpoints])
+            capsys, ["dseries", "--k", "2", "--s", str(s), *rows])
         assert len(calls) == 1
         assert payload["rows"] == [[r.x, s, r.value, r.terms_used]
-                                   for r in dirichlet_partial_sum(2, s, x, xs)]
+                                   for r in dirichlet_partial_sum(2, s, xs)]
         assert list(payload["metadata"]) == ["command", "argv", "version", "wall_time", "k"]
 
-    @pytest.mark.parametrize("checkpoints", ["50000,1000", "1000,200000", "0,1000"])
+    @pytest.mark.parametrize("checkpoints", ["50000,1000", "1000,1000,999", "0,1000"])
     def test_dseries_bad_checkpoints(self, capsys, checkpoints):
-        argv = ["dseries", "--k", "2", "--x", "100000", "--checkpoints", checkpoints]
+        argv = ["dseries", "--k", "2", "--checkpoints", checkpoints]
         assert cli.run(argv) == 2
         assert capsys.readouterr().out == ""
 
@@ -360,11 +363,22 @@ class TestVerifyCommand:
         assert "FAIL stub: boom" in out
         assert "0/1 checks passed" in out
 
-    def test_same_seed_reproduces_sampled_checks(self, capsys):
-        cli.run(["verify", "--suite", "lemma4", "--sample-seed", "1"])
-        first = capsys.readouterr().out
-        cli.run(["verify", "--suite", "lemma4", "--sample-seed", "1"])
-        assert capsys.readouterr().out == first
+    def test_lemma4_failure_names_the_least_q_and_x(self, capsys, monkeypatch):
+        # a closed form off by one at three instances; the walk over every
+        # solvable q <= 300 at x = 1, q, 20000 reports the least
+        original = verify.progression_weighted_sum
+
+        def wrong(q, a, x):
+            ps = original(q, a, x)
+            if (q, x) in ((31, 31), (31, 20000), (62, 1)):
+                return dataclasses.replace(ps, closed_form=ps.closed_form + 1)
+            return ps
+
+        monkeypatch.setattr(verify, "progression_weighted_sum", wrong)
+        assert cli.run(["verify", "--suite", "lemma4"]) == 4
+        want = original(31, -2, 31)
+        assert (f"FAIL progression-closed-form: q=31 x=31: iterated {want.exact} "
+                f"vs closed {want.closed_form + 1}\n") in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -434,26 +448,37 @@ EDGE_ARGVS = [
     (["verify", "--suite", "eq3", "--nmax", "5"], 2),
     (["verify", "--suite", "lemma2", "--pmax", "5"], 2),
     (["verify", "--suite", "lemma4", "--pmax", "5"], 2),
-    # a shift or a seed that the suite never reads, and both where it does
+    # a shift that the suite never reads, and one where it does
     (["verify", "--suite", "lemma3", "--k", "54"], 2),
     (["verify", "--suite", "lemma2", "--k", "2"], 2),
+    (["verify", "--suite", "lemma4", "--k", "54"], 0),
+    # a seed, which no suite takes: lemma4 checks every solvable modulus
     (["verify", "--suite", "lemma2", "--sample-seed", "1"], 2),
     (["verify", "--suite", "rho", "--sample-seed", "0"], 2),
     (["verify", "--suite", "eq3", "--sample-seed", "1"], 2),
-    (["verify", "--suite", "lemma4", "--k", "54", "--sample-seed", "3"], 0),
+    (["verify", "--suite", "lemma4", "--sample-seed", "1"], 2),
     # both flags of a pair, where one would be dropped unread, or neither
     # where one is needed, and an empty list
     (["count", "--k", "2", "--x", "1000000", "--checkpoints", "1000,100000"], 2),
     (["count", "--k", "2"], 2),
     (["tail", "--k", "-2", "--x", "1000", "--checkpoints", "1000"], 2),
     (["tail", "--k", "-2"], 2),
+    (["dset", "--k", "2", "--x", "1000", "--checkpoints", "10,100"], 2),
+    (["dseries", "--k", "2", "--x", "1000", "--checkpoints", "10,100"], 2),
+    (["dseries", "--k", "2"], 2),
     (["constant", "--k", "2", "--pmax", "100", "--checkpoints", "100,1000"], 2),
-    (["dset", "--k", "2", "--x", "100", "--checkpoints="], 2),
+    (["dset", "--k", "2", "--checkpoints="], 2),
     (["count", "--k", "2", "--checkpoints", ","], 2),
     # verify prints text only and takes no --format
     (["verify", "--suite", "lemma4", "--format", "json"], 2),
     (["rho", "--k", "2", "--q", "0"], 2),
     (["epstein", "--form", "0,0,0", "--s", "2", "--x", "100"], 2),
+    # lattice rows whose values would pass int64: 2^62 u^2 at u = +-2, a
+    # wide non-reduced form, and a coefficient past int64 itself
+    (["epstein", "--form", f"{2**62},1,1", "--s", "2", "--x", "100"], 3),
+    (["epstein", "--form", "1,2000000,1000000000001", "--s", "2", "--x", "10000000"], 3),
+    (["epstein", "--form", "1,2000000,1000000000001", "--s", "1", "--mu", "--x", "10000000"], 3),
+    (["epstein", "--form", "10000000000000000000,1,1", "--s", "2", "--x", "10"], 3),
     (["lemma4", "--q", "0", "--a", "1", "--x", "10"], 2),
     (["dset", "--k", "2", "--x", "0"], 2),
     (["dseries", "--k", "2", "--x", "0"], 2),
@@ -485,6 +510,9 @@ NAMES_FLAG = {
     ("verify", "--suite", "lemma2", "--sample-seed", "1"): "--sample-seed",
     ("verify", "--suite", "rho", "--sample-seed", "0"): "--sample-seed",
     ("verify", "--suite", "eq3", "--sample-seed", "1"): "--sample-seed",
+    ("verify", "--suite", "lemma4", "--sample-seed", "1"): "--sample-seed",
+    ("dset", "--k", "2", "--x", "1000", "--checkpoints", "10,100"): "--checkpoints",
+    ("dseries", "--k", "2", "--x", "1000", "--checkpoints", "10,100"): "--checkpoints",
     ("verify", "--suite", "lemma2", "--nmax", "0"): "--nmax",
     ("verify", "--suite", "lemma2", "--nmax", "1"): "--nmax",
     ("verify", "--suite", "lemma2", "--nmax", "-5"): "--nmax",
@@ -509,3 +537,27 @@ def test_edge_argv_exits_without_traceback(argv, code):
     if code:
         assert proc.stderr.startswith("error:") and proc.stdout == ""
     assert NAMES_FLAG.get(tuple(argv), "") in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--k", "2", "--x", "1000000"],
+    ["dset", "--k", "2", "--x", "1000"],
+    ["verify", "--suite", "rho", "--nmax", "100"],
+])
+def test_benchmark_traced_job_runs(tmp_path, argv):
+    # the benchmark's job runner wraps each name of job.TRACED, found by
+    # getattr, and sizes sieve_range's result from its dataclass fields, so
+    # a renamed function or another return type fails every traced run
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "job.py"), "--trace", str(tmp_path / "t"),
+         "--", *argv],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    spec = importlib.util.spec_from_file_location("job", root / "perfbench" / "job.py")
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+    totals = json.loads((tmp_path / "t.json").read_text())
+    assert list(totals["calls"]) == list(job.TRACED)
+    assert totals["calls"]["cli.run"] == 1

@@ -112,29 +112,35 @@ class TestEnumeration:
 
 class TestDensity:
     def test_ten(self):
-        stats = dset_density(2, 10, [10])
-        assert stats.checkpoints[-1][1] == 6
-        assert stats.checkpoints == [(10, 6, 0.6)]
+        assert dset_density(2, [10]) == [(10, 6, 0.6)]
 
     def test_limit_one(self):
-        stats = dset_density(2, 1, [1])
-        assert stats.checkpoints[-1][1] == 1
-        assert stats.checkpoints[0][1:] == (1, 1.0)
+        assert dset_density(2, [1]) == [(1, 1, 1.0)]
 
     def test_ratios_strictly_decreasing_to_a_million(self):
-        stats = dset_density(2, 10**6, [10**3, 10**4, 10**5, 10**6])
-        ratios = [r for _, _, r in stats.checkpoints]
+        rows = dset_density(2, [10**3, 10**4, 10**5, 10**6])
+        ratios = [r for _, _, r in rows]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
     def test_checkpoint_validation(self):
         with pytest.raises(DomainError):
-            dset_density(2, 100, [])
+            dset_density(2, [])
         with pytest.raises(DomainError):
-            dset_density(2, 100, [50, 200])
+            dset_density(2, [0, 200])
         with pytest.raises(DomainError):
-            dset_density(2, 100, [50, 20])
+            dset_density(2, [50, 20])
+        with pytest.raises(ResourceError):
+            dset_density(2, [50, 10**7 + 1])
 
     def test_counts_nondecreasing(self):
-        stats = dset_density(2, 5000, [10, 100, 1000, 5000])
-        counts = [c for _, c, _ in stats.checkpoints]
+        rows = dset_density(2, [10, 100, 1000, 5000])
+        counts = [c for _, c, _ in rows]
         assert counts == sorted(counts)
+
+    def test_rows_count_the_enumeration(self):
+        # one enumeration up to the last checkpoint serves every row,
+        # repeated checkpoints included
+        members = enumerate_dset(2, 5000).tolist()
+        cps = [1, 9, 10, 10, 97, 5000]
+        assert dset_density(2, cps) == [
+            (x, sum(d <= x for d in members), sum(d <= x for d in members) / x) for x in cps]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicprimes import (
+    CapacityError,
     DomainError,
     QuadraticForm,
     ResourceError,
@@ -40,25 +41,25 @@ def _peak_bytes(fn) -> int:
 
 class TestDirichletPartialSum:
     def test_single_term_is_zero(self):
-        rec = dirichlet_partial_sum(2, 1.0, 1)[0]
+        rec = dirichlet_partial_sum(2, 1.0, [1])[0]
         assert rec.value == 0.0
         assert rec.terms_used == 1
 
     def test_two_terms(self):
-        rec = dirichlet_partial_sum(2, 1.0, 2)[0]
+        rec = dirichlet_partial_sum(2, 1.0, [2])[0]
         assert rec.value == pytest.approx(-math.log(2) / 2, rel=1e-15)
 
     def test_ten_terms_hand_value(self):
-        rec = dirichlet_partial_sum(2, 1.0, 10)[0]
+        rec = dirichlet_partial_sum(2, 1.0, [10])[0]
         expected = (-math.log(2) / 2 - math.log(3) / 3 - math.log(5) / 5
                     + math.log(6) / 6 + math.log(10) / 10)
         assert rec.value == pytest.approx(expected, rel=1e-14)
         assert rec.value == pytest.approx(-0.5057801814854156, rel=1e-13)
 
     def test_checkpoint_prefix_property(self):
-        full = dirichlet_partial_sum(2, 1.0, 10**4, checkpoints=[10, 100, 10**4])
+        full = dirichlet_partial_sum(2, 1.0, [10, 100, 10**4])
         for rec in full:
-            alone = dirichlet_partial_sum(2, 1.0, rec.x)[0]
+            alone = dirichlet_partial_sum(2, 1.0, [rec.x])[0]
             assert alone.value == rec.value
             assert alone.terms_used == rec.terms_used
 
@@ -67,20 +68,20 @@ class TestDirichletPartialSum:
         # membership is decided one n at a time by in_dset
         x = 10**4
         members = [n for n in range(1, x + 1) if tables_small.mu[n] != 0 and in_dset(2, n)]
-        rec = dirichlet_partial_sum(2, 1.0, x)[0]
+        rec = dirichlet_partial_sum(2, 1.0, [x])[0]
         assert rec.terms_used == len(members)
         expected = math.fsum(int(tables_small.mu[n]) * math.log(n) / n for n in members)
         assert rec.value == pytest.approx(expected, rel=1e-12)
 
     def test_higher_s_shrinks_terms(self):
-        v1 = abs(dirichlet_partial_sum(2, 1.0, 1000)[0].value)
-        v2 = abs(dirichlet_partial_sum(2, 2.0, 1000)[0].value)
+        v1 = abs(dirichlet_partial_sum(2, 1.0, [1000])[0].value)
+        v2 = abs(dirichlet_partial_sum(2, 2.0, [1000])[0].value)
         assert v2 < v1
 
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
     def test_non_finite_s_refused(self, s):
         with pytest.raises(DomainError):
-            dirichlet_partial_sum(2, s, 100)
+            dirichlet_partial_sum(2, s, [100])
         with pytest.raises(DomainError):
             epstein_zeta_partial(RESIDUE, s, 100)
         with pytest.raises(DomainError):
@@ -99,7 +100,7 @@ class TestDirichletPartialSum:
         with np.errstate(over="ignore"):
             running = np.cumsum(mu * np.log(vals) / vals**s)
         cps = [1, 10, 97, 1000, 12345, x]
-        got = dirichlet_partial_sum(k, s, x, cps)
+        got = dirichlet_partial_sum(k, s, cps)
         for rec in got:
             idx = int(np.searchsorted(members, rec.x, side="right"))
             assert rec.value.hex() == float(running[idx - 1]).hex()
@@ -107,17 +108,19 @@ class TestDirichletPartialSum:
     def test_byte_budget(self):
         # the sieve, the member list and two float buffers (log terms and
         # n^s); a third float buffer, or a float mu, breaks the bound
-        assert _peak_bytes(lambda: dirichlet_partial_sum(2, 1.0, 10**6)) <= 8_000_000
+        assert _peak_bytes(lambda: dirichlet_partial_sum(2, 1.0, [10**6])) <= 8_000_000
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            dirichlet_partial_sum(2, 0.5, 100)
+            dirichlet_partial_sum(2, 0.5, [100])
         with pytest.raises(DomainError):
-            dirichlet_partial_sum(2, 1.0, 0)
+            dirichlet_partial_sum(2, 1.0, [0])
         with pytest.raises(DomainError):
-            dirichlet_partial_sum(2, 1.0, 100, checkpoints=[50, 20])
+            dirichlet_partial_sum(2, 1.0, [50, 20])
         with pytest.raises(DomainError):
-            dirichlet_partial_sum(2, 1.0, 100, checkpoints=[200])
+            dirichlet_partial_sum(2, 1.0, [])
+        with pytest.raises(ResourceError):
+            dirichlet_partial_sum(2, 1.0, [100, 10**7 + 1])
 
 
 class TestEpsteinR:
@@ -176,6 +179,26 @@ class TestEpsteinZetaPartial:
             epstein_zeta_partial(SQUARES, 2.0, 0)
         with pytest.raises(ResourceError):
             epstein_zeta_partial(SQUARES, 2.0, 10**7 + 1)
+
+    @pytest.mark.parametrize("form", [QuadraticForm(2**62, 1, 1), QuadraticForm(2**60, 1, 1),
+                                      QuadraticForm(1, 2000000, 10**12 + 1)])
+    def test_large_coefficients_match_the_per_n_route_or_refuse(self, form):
+        # at u = +-2 the row value 2^62 u^2 is 2^64, which int64 would wrap
+        # to 0; 2^60 u^2 = 2^62 fits. A sweep either sums the exact values
+        # or refuses before it forms a row
+        per_n = sum(epstein_r(form, n) / n**2 for n in range(1, 101))
+        try:
+            value = epstein_zeta_partial(form, 2.0, 100)
+        except CapacityError:
+            assert form.a == 2**62
+            for sweep in (lambda: representation_counts(form, 100),
+                          lambda: epstein_mu_sum(form, 1.0, 100),
+                          lambda: _form_values(form, 100)):
+                with pytest.raises(CapacityError):
+                    sweep()
+        else:
+            assert form.a != 2**62
+            assert value == pytest.approx(per_n, rel=1e-12)
 
     @given(n_max=st.integers(1, 400),
            form=st.sampled_from((SQUARES, RESIDUE, NONRESIDUE)),

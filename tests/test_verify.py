@@ -7,8 +7,12 @@ leaves. Lemma 3 (gauss_euler_split): its PASS text, its first
 counterexample when a route is wrong, and agreement of its lattice sweep
 with the per-prime form search of gauss_classify. rho (rho_against_scan):
 its PASS text, each side against its scalar route (rho, rho_bruteforce),
-and the first q a wrong side leaves.
+and the first q a wrong side leaves. Lemma 4 (progression_checks): the
+instances it walks against a scan of every modulus, its PASS text, and
+the least (q, x) a wrong closed form or leading term leaves.
 """
+
+import dataclasses
 
 import math
 
@@ -38,6 +42,7 @@ from cubicprimes.verify import (
     gauss_euler_split,
     mangoldt_divisor_sum,
     mangoldt_identity,
+    progression_checks,
     rho_against_scan,
 )
 
@@ -302,3 +307,60 @@ def _lose_root_at(monkeypatch, q):
 def test_rho_names_the_first_wrong_q(monkeypatch, mutate, at, detail):
     mutate(monkeypatch, at)
     assert rho_against_scan(1000) == verify.CheckResult("rho-vs-scan", False, detail)
+
+
+# Lemma 4
+
+
+@pytest.mark.parametrize("q_max,x_max,detail", [
+    (10**3, 10**5, ("1005 instances (x = 1, q, 100000) over the 335 solvable squarefree "
+                    "q <= 1000 match exactly", "335 instances")),
+    (300, 2 * 10**4, ("324 instances (x = 1, q, 20000) over the 108 solvable squarefree "
+                      "q <= 300 match exactly", "72 instances")),
+])
+def test_lemma4_pass_detail(q_max, x_max, detail):
+    exact, band, dropped = progression_checks(q_max, x_max)
+    assert exact == verify.CheckResult("progression-closed-form", True, detail[0])
+    assert band == verify.CheckResult(
+        "progression-leading-band", True, f"{detail[1]} with x >= 100q inside [0.95, 1.05]")
+    assert dropped.passed
+
+
+@pytest.mark.parametrize("k", RHO_KS)
+def test_lemma4_walks_every_solvable_squarefree_modulus(monkeypatch, k):
+    # the instances against a scan of every q <= 300 for a root of x^3 + k
+    seen = []
+    original = verify.progression_weighted_sum
+
+    def recorded(q, a, x):
+        seen.append((q, a, x))
+        return original(q, a, x)
+
+    monkeypatch.setattr(verify, "progression_weighted_sum", recorded)
+    results = progression_checks(300, 2 * 10**4, -k)
+    assert all(r.passed for r in results)
+    qs = [q for q in range(1, 301) if sieve_range(300).mu[q] and rho_bruteforce(k, q)]
+    assert seen[:-1] == [(q, -k, x) for q in qs for x in sorted((1, q, 2 * 10**4))]
+
+
+def _wrong_at(monkeypatch, field, delta, at):
+    original = verify.progression_weighted_sum
+
+    def wrong(q, a, x):
+        ps = original(q, a, x)
+        if (q, x) in at:
+            return dataclasses.replace(ps, **{field: getattr(ps, field) + delta})
+        return ps
+
+    monkeypatch.setattr(verify, "progression_weighted_sum", wrong)
+
+
+@pytest.mark.parametrize("field,delta,at,i,detail", [
+    ("closed_form", -1, ((1, 1), (2, 1)), 0, "q=1 x=1: iterated 1 vs closed 0"),
+    ("leading", 10**6, ((5, 1000), (3, 1000)), 1, "q=3 x=1000: exact/leading = 0.143286"),
+])
+def test_lemma4_names_the_least_wrong_instance(monkeypatch, field, delta, at, i, detail):
+    _wrong_at(monkeypatch, field, delta, at)
+    results = progression_checks(300, 1000)
+    assert [r.passed for r in results[:2]] == [i != 0, i != 1]
+    assert results[i].detail == detail
