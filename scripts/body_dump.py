@@ -18,6 +18,25 @@ from pathlib import Path
 
 BENCH_K = (2, 54, -54, 250, -128)  # the benchmark's shifts
 
+
+def segment_edges(seg: int, chebyshev_x: int) -> list[list[str]]:
+    """Commands at the edges of a walk in segments of seg indices. Count
+    checkpoints one index below, at and above the first segment edge and
+    the edge three segments on, then 99 indices into a fifth segment, so
+    that the split walk's shares end inside a bound's spans and next to
+    spans of one index. A Lambda sum to chebyshev_x, across the first edge,
+    and a tail whose index bounds lie one below, at (twice) and one above
+    that edge, with no new prime power after x = 1000."""
+    counts = [["count", "--k", str(k), "--checkpoints",
+               ",".join(str(n**3 + k) for n in (f + seg - 1, f + seg, f + seg + 1,
+                                                 f + 3 * seg - 1, f + 3 * seg,
+                                                 f + 3 * seg + 1, f + 4 * seg + 99))]
+              for k, f in ((2, 0), (-17, 3))]  # f = min_index(k)
+    tail = ["tail", "--k", "-54", "--checkpoints",
+            ",".join(["1000"] + [str(n**3 - 54) for n in (4 + seg - 1, 4 + seg, 4 + seg,
+                                                           4 + seg + 1)])]  # 4 = min_index(-54)
+    return [*counts, ["chebyshev", "--k", "2", "--x", str(chebyshev_x)], tail]
+
 COMMANDS = [
     *(["count", "--k", str(k), "--checkpoints", "1000000,1000000000,1000000000000"]
       for k in BENCH_K),
@@ -102,21 +121,8 @@ COMMANDS = [
     # and with a form that represents no n = 1
     ["epstein", "--form", "10001,200,1", "--s", "400", "--mu", "--x", "10000"],
     ["epstein", "--form", "2,1,3", "--s", "1", "--mu", "--x", "100000"],
-    # checkpoints one index below, at and above the walk's first segment edge
-    # and the edge three segments on, so that the split walk's shares end
-    # inside a bound's spans and next to spans of one index
-    *(["count", "--k", str(k), "--checkpoints",
-       ",".join(str(n**3 + k) for n in (f + 2**16 - 1, f + 2**16, f + 2**16 + 1,
-                                         f + 3 * 2**16 - 1, f + 3 * 2**16,
-                                         f + 3 * 2**16 + 1, f + 4 * 2**16 + 99))]
-      for k, f in ((2, 0), (-17, 3))),  # f = min_index(k)
-    # the Lambda walk across its first segment edge: a sum over two
-    # segments, and a tail whose index bounds lie one below, at (twice) and
-    # one above that edge, with no new prime power after x = 1000
-    ["chebyshev", "--k", "2", "--x", "1000000000000000"],
-    ["tail", "--k", "-54", "--checkpoints",
-     ",".join(["1000"] + [str(n**3 - 54) for n in (4 + 2**16 - 1, 4 + 2**16, 4 + 2**16,
-                                                    4 + 2**16 + 1)])],  # 4 = min_index(-54)
+    # the edges of 2^16-index segments, the walk's segment size before 2^17
+    *segment_edges(2**16, 10**15),
     # the partial sums at s != 1, and at a repeated checkpoint off the decades
     ["dseries", "--k", "2", "--s", "1.5", "--x", "100000"],
     ["dseries", "--k", "-17", "--checkpoints", "10,1000,1000,100000"],
@@ -140,6 +146,8 @@ COMMANDS = [
     # squarefree modulus of another shift
     ["dset", "--k", "2", "--checkpoints", "10,100,1000"],
     ["verify", "--suite", "lemma4", "--scale", "full", "--k", "54"],
+    # the edges of the walk's segments (counting._SEGMENT)
+    *segment_edges(2**17, 10**16),
 ]
 
 

@@ -176,22 +176,44 @@ def is_prime(n: int) -> bool:
 
 
 _LOW32 = np.uint64(0xFFFFFFFF)
+_ROWS = 7  # uint64 scratch rows that one product takes
 
 
-def _mulhi(a0, a1, b0, b1):
-    """High 64 bits of the 128-bit products a * b, from the 32-bit limbs
-    a = a1 * 2^32 + a0 and b = b1 * 2^32 + b0."""
-    mid = a1 * b0 + ((a0 * b0) >> 32)
-    return a1 * b1 + (mid >> 32) + ((a0 * b1 + (mid & _LOW32)) >> 32)
+def _mulhi(a0, a1, b0, b1, t, u):
+    """The high 64 bits of the 128-bit products a * b, from the 32-bit limbs
+    a = a1 * 2^32 + a0 and b = b1 * 2^32 + b0, written over a1; a0, t and u
+    are overwritten too. b0 is a0 and b1 is a1 for a square."""
+    np.multiply(a0, b0, out=t)
+    t >>= 32
+    np.multiply(a1, b0, out=u)
+    t += u  # mid = a1 b0 + (a0 b0 >> 32), below 2^64
+    if b0 is not a0:
+        np.multiply(a0, b1, out=u)  # a square holds a0 a1 there already
+    np.bitwise_and(t, _LOW32, out=a0)
+    u += a0
+    u >>= 32
+    t >>= 32
+    a1 *= b1
+    a1 += t
+    a1 += u
 
 
 class _Montgomery:
     """Exact arithmetic mod a batch of odd moduli n in uint64, in Montgomery
     form with R = 2^64: a residue x is held as x * R mod n. The limbs of n,
     1/n mod R and R mod n (the form of 1) are computed once per batch.
-    Every operand is a reduced residue in [0, n)."""
+    Every operand is a reduced residue in [0, n).
 
-    def __init__(self, n: np.ndarray):
+    An op writes its result to out, which may be an operand, and allocates
+    nothing: each step writes through ufunc out= into scratch, _ROWS uint64
+    rows of at least n.size columns made once per batch. Contexts made from
+    the same scratch (take() among them) share it, as no op keeps anything
+    there between calls; out is never a scratch row. Conditional corrections
+    add n times a 0/1 comparison: where= on a random mask ran over ten
+    times slower than an unmasked op.
+    """
+
+    def __init__(self, n: np.ndarray, scratch: np.ndarray | None = None):
         self.n = n
         self.n0, self.n1 = n & _LOW32, n >> 32
         self.ninv = n.copy()  # Newton: n * n = 1 mod 8, and each step doubles the correct bits
@@ -199,41 +221,64 @@ class _Montgomery:
             self.ninv *= 2 - n * self.ninv
         self.one = (0 - n) % n
         self.minus_one = n - self.one
+        self.scratch = np.empty((_ROWS, n.size), dtype=np.uint64) if scratch is None else scratch
+        self._rows = tuple(self.scratch[:, : n.size])
 
-    def _redc(self, lo, hi):
+    def take(self, keep) -> _Montgomery:
+        """The context for the moduli that keep selects, on the same scratch."""
+        out = object.__new__(_Montgomery)
+        for name in ("n", "n0", "n1", "ninv", "one", "minus_one"):
+            setattr(out, name, getattr(self, name)[keep])
+        out.scratch = self.scratch
+        out._rows = tuple(self.scratch[:, : out.n.size])
+        return out
+
+    def mul(self, a, b, out) -> None:
+        """a b / R mod n, the Montgomery product."""
+        a0, a1, b0, b1, lo, t, u = self._rows
+        np.bitwise_and(a, _LOW32, out=a0)
+        np.right_shift(a, 32, out=a1)
+        if b is a:
+            b0, b1 = a0, a1
+        else:
+            np.bitwise_and(b, _LOW32, out=b0)
+            np.right_shift(b, 32, out=b1)
+        np.multiply(a, b, out=lo)
+        _mulhi(a0, a1, b0, b1, t, u)
+        self._redc(lo, a1, out)
+
+    def sqr(self, a, out) -> None:
+        self.mul(a, a, out)
+
+    def _redc(self, lo, hi, out) -> None:
         """(hi * 2^64 + lo) / R mod n for a product of two residues.
 
         With m = lo / n mod R, m*n has low word lo, so the product minus
         m*n is (hi - hi(m*n)) * R exactly. Both high words are below n, so
         the difference lies in (-n, n) and at most one n is added back.
         """
-        m = lo * self.ninv
-        mn = _mulhi(m & _LOW32, m >> 32, self.n0, self.n1)
-        r = hi - mn
-        return np.where(hi < mn, r + self.n, r)
+        m0, _, _, _, _, t, u = self._rows
+        lo *= self.ninv
+        np.bitwise_and(lo, _LOW32, out=m0)
+        lo >>= 32
+        _mulhi(m0, lo, self.n0, self.n1, t, u)
+        self._difference(hi, lo, out, m0)
 
-    def take(self, keep) -> _Montgomery:
-        """The context for the moduli that keep selects."""
-        out = object.__new__(_Montgomery)
-        out.__dict__.update((name, t[keep]) for name, t in vars(self).items())
-        return out
+    def _difference(self, a, b, out, borrow) -> None:
+        """a - b mod n into out, for a, b in [0, n); borrow is scratch."""
+        np.less(a, b, out=borrow)
+        np.subtract(a, b, out=out)
+        borrow *= self.n
+        out += borrow
 
-    def mul(self, a, b):
-        return self._redc(a * b, _mulhi(a & _LOW32, a >> 32, b & _LOW32, b >> 32))
+    def add(self, a, b, out) -> None:
+        """a + b as a - (n - b), which cannot carry past 2^64."""
+        c, borrow = self._rows[:2]
+        np.subtract(self.n, b, out=c)
+        self._difference(a, c, out, borrow)
 
-    def sqr(self, a):
-        a0, a1 = a & _LOW32, a >> 32
-        cross = a0 * a1
-        mid = cross + ((a0 * a0) >> 32)
-        return self._redc(a * a, a1 * a1 + (mid >> 32) + ((cross + (mid & _LOW32)) >> 32))
-
-    def add(self, a, b):
-        s = a + b
-        return np.where((s < a) | (s >= self.n), s - self.n, s)
-
-    def sub(self, a, b):
-        r = a - b
-        return np.where(a < b, r + self.n, r)
+    def sub(self, a, b, out) -> None:
+        self._difference(a, b, out, self._rows[0])
 
 
 def _two_adic(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,22 +288,26 @@ def _two_adic(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, m >> s
 
 
-def _strong_base2(n: np.ndarray) -> np.ndarray:
+def _strong_base2(n: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Strong-probable-prime verdicts to base 2 for odd n > 2. The ladder
-    for 2^d multiplies by 2 with a modular doubling, not a product."""
-    mont = _Montgomery(n)
+    for 2^d multiplies by 2 with a modular doubling, not a product: x is
+    added to x times the bit of d, in place."""
+    mont = _Montgomery(n, scratch)
     s, d = _two_adic(n - 1)
-    x = mont.one
+    x, twice = mont.one.copy(), np.empty_like(n)
     for bit in range(int(d.max()).bit_length() - 1, -1, -1):
-        x = mont.sqr(x)
-        x = np.where((d >> bit) & 1 == 1, mont.add(x, x), x)
+        mont.sqr(x, x)
+        np.right_shift(d, bit, out=twice)
+        twice &= 1
+        twice *= x
+        mont.add(x, twice, x)
     passed = (x == mont.one) | (x == mont.minus_one)
     # x^(2^j) for j = 1 .. s - 1, on the values not yet decided
     live = np.flatnonzero(~passed & (s > 1))
     mont, x, s = mont.take(live), x[live], s[live]
     j = 1
     while live.size:
-        x = mont.sqr(x)
+        mont.sqr(x, x)
         hit = x == mont.minus_one
         passed[live[hit]] = True
         j += 1
@@ -346,7 +395,7 @@ def _div_small(c: np.ndarray, n: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(q < 0, (n - out) % n, out)
 
 
-def _strong_lucas(n: np.ndarray) -> np.ndarray:
+def _strong_lucas(n: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Strong Lucas probable-prime verdicts for odd n > 37 with no prime
     factor up to 37, with Selfridge's parameters P = 1, Q = (1 - D)/4.
 
@@ -359,7 +408,12 @@ def _strong_lucas(n: np.ndarray) -> np.ndarray:
     and Pomerance, Prime Numbers, 3.6). A ladder holds (W_k, W_{k+1}) in
     Montgomery form from (2, P') up the bits of m, at one square and one
     product a bit: a clear bit takes k to 2k, (W_k^2 - 2, W_k W_{k+1} - P'),
-    and a set bit to 2k + 1, (W_k W_{k+1} - P', W_{k+1}^2 - 2). Expanding,
+    and a set bit to 2k + 1, (W_k W_{k+1} - P', W_{k+1}^2 - 2). In place,
+    the pair (w, w1) is kept in reverse order after a set bit, so each step
+    squares w and multiplies the two into w1, and the pair is swapped where
+    the bit differs from the one before (the bits of m ^ (m >> 1)). The
+    tests below are symmetric in the pair, so its last order does not
+    matter. Expanding,
     Q^(m+1) (W_{m+1} - W_m) = D U_d and Q^(m+1) (W_{m+1} + W_m) = P V_d.
     D is a unit as (D/n) = -1, and Q is one by the gcd, so
         U_d = 0 iff W_{m+1} = W_m,   V_d = 0 iff W_m + W_{m+1} = 0,
@@ -378,30 +432,43 @@ def _strong_lucas(n: np.ndarray) -> np.ndarray:
     if not idx.size:
         return verdict
     n = n[idx]
-    mont = _Montgomery(n)
-    two = mont.add(mont.one, mont.one)
-    p = mont.sub(_div_small(mont.one, n, Q), two)
+    mont = _Montgomery(n, scratch)
+    two = np.empty_like(n)
+    mont.add(mont.one, mont.one, two)
+    p = _div_small(mont.one, n, Q)
+    mont.sub(p, two, p)
     s, d = _two_adic(n + 1)  # n + 1 < 2^64: 2^64 - 1 is divisible by 3
     m = d >> 1
-    w, w1 = two, p
+    flips = m ^ (m >> 1)
+    w, w1, flip, step = two.copy(), p.copy(), np.empty_like(n), np.empty_like(n)
     for bit in range(int(m.max()).bit_length() - 1, -1, -1):
-        up = (m >> bit) & 1 == 1
-        cross = mont.sub(mont.mul(w, w1), p)
-        square = mont.sub(mont.sqr(np.where(up, w1, w)), two)
-        w, w1 = np.where(up, cross, square), np.where(up, square, cross)
-    passed = (w == w1) | (mont.add(w, w1) == 0)
+        # swap by the bit of flips: w += (w1 - w) flip and w1 -= it, mod 2^64
+        np.right_shift(flips, bit, out=flip)
+        flip &= 1
+        np.subtract(w1, w, out=step)
+        step *= flip
+        w += step
+        w1 -= step
+        mont.mul(w, w1, w1)
+        mont.sub(w1, p, w1)
+        mont.sqr(w, w)
+        mont.sub(w, two, w)
+    mont.add(w, w1, step)
+    passed = (w == w1) | (step == 0)
     # W_{d*2^(j-1)} for j = 1 .. s - 1, on the values not yet decided
     live = np.flatnonzero(~passed & (s > 1))
-    mont, s = mont.take(live), s[live]
-    w = mont.sub(mont.mul(w[live], w1[live]), p[live])
+    mont, s, w, two = mont.take(live), s[live], w[live], two[live]
+    mont.mul(w, w1[live], w)
+    mont.sub(w, p[live], w)
     j = 1
     while live.size:
         hit = w == 0
         passed[live[hit]] = True
         j += 1
         keep = ~hit & (s > j)
-        live, w, s, mont = live[keep], w[keep], s[keep], mont.take(keep)
-        w = mont.sub(mont.sqr(w), mont.add(mont.one, mont.one))
+        live, w, s, two, mont = live[keep], w[keep], s[keep], two[keep], mont.take(keep)
+        mont.sqr(w, w)
+        mont.sub(w, two, w)
     verdict[idx] = passed
     return verdict
 
@@ -411,9 +478,10 @@ def _is_prime_odd_batch(n: np.ndarray) -> np.ndarray:
     in uint64: a strong base-2 test, then a strong Lucas test on the
     values that pass it. No composite below 2^64 passes both. The Lucas
     test runs on V_k(P^2/Q - 2, 1), as V_2k = Q^k V_k(P^2/Q - 2, 1)."""
-    verdict = _strong_base2(n)
+    scratch = np.empty((_ROWS, n.size), dtype=np.uint64)  # for both stages
+    verdict = _strong_base2(n, scratch)
     idx = np.flatnonzero(verdict)
-    verdict[idx] = _strong_lucas(n[idx])
+    verdict[idx] = _strong_lucas(n[idx], scratch)
     return verdict
 
 

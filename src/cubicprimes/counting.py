@@ -2,16 +2,17 @@
 the count's predicted main term.
 
 The observed side is one walk over the index range of n^3 + k in ascending
-segments of at most 65536 indices (_spans), split at each checkpoint's
-index bound; every segment carries the position of its bound, the first
-bound at or above its indices. A segment's prime mask is a progression
-sieve against the primes up to 10^2, 10^3 or 10^5 (by the walk's span),
-struck at the roots of n^3 + k mod each (residues._cube_roots) where the
-value is above that bound, so that a struck value is composite. The
-survivors, values up to the bound among them, are certified together by
-the batched Baillie-PSW test (is_prime_batch: strong base 2, then strong
-Lucas, in Montgomery arithmetic; one call per segment). Counts add each
-segment's prime count to its bound. The weighted Lambda sums and the
+segments of at most _SEGMENT = 2^17 indices (_spans), split at each
+checkpoint's index bound; every segment carries the position of its
+bound, the first bound at or above its indices. A segment's prime mask is
+a progression sieve against the primes up to 10^2, 10^3 or 10^5 (by the
+walk's span), struck at the roots of n^3 + k mod each
+(residues._cube_roots) where the value is above that bound, so that a
+struck value is composite. The survivors, values up to the bound among
+them, are certified together by the batched Baillie-PSW test
+(is_prime_batch: strong base 2, then strong Lucas, in Montgomery
+arithmetic written in place; one call per segment, about 8k survivors at
+10^18). Counts add each segment's prime count to its bound. The weighted Lambda sums and the
 prime-power tail read one generator, _walk, which also marks the values
 that are q-th powers for a prime q by an exact test (each power's base is
 then found by exact integer roots and certified by the scalar is_prime)
@@ -52,7 +53,7 @@ RHS_BUDGET = 5 * 10**7  # lambda_sum_rhs tests every prime <= x on each value: 7
 SERIES_BUDGET = 10**8  # singular_series sieves every prime <= its cutoff
 _SERIES_BLOCK = 4096  # primes per cumprod block of singular_series
 PROGRESSION_BUDGET = 10**7  # progression_weighted_sum adds up to x // q terms per class
-_SEGMENT = 1 << 16
+_SEGMENT = 1 << 17  # indices a segment: one is_prime_batch call each
 _ROOT_EXPONENTS = tuple(int(p) for p in primes_up_to(64))  # prime e with 2^e < 2^64
 
 
@@ -195,8 +196,9 @@ def _alive(lo: int, hi: int, prescreen: _Sieve) -> np.ndarray:
 
     Sieved to 10^5, the walk of k = 2 to 10^18 keeps 63,275 of its 10^6
     indices (78,995 at 10^4), and each survivor costs one base-2 test. The
-    strikes of its 16 segments take about 0.011 s on 2 cores (0.017 s with
-    slices only up to 256).
+    strikes of its 11 segments take about 0.008 s in one process (0.010 s
+    over the 19 segments of 2^16 indices; 0.017 s on 2 cores with slices
+    only up to 256).
     """
     size = hi - lo + 1
     alive = np.ones(size, dtype=bool)
@@ -238,7 +240,7 @@ def _cubes(n: np.ndarray, lo: int, k: int) -> np.ndarray:
 
 def _spans(lo: int, bounds: list[int]) -> list[tuple[int, int, int]]:
     """The walk's segments from lo through the ascending index bounds:
-    (lo, hi, i) for each run of at most 65536 indices, i the position in
+    (lo, hi, i) for each run of at most _SEGMENT indices, i the position in
     bounds of the first bound >= hi. A bound below the walk adds none."""
     spans = []
     for i, b in enumerate(bounds):
@@ -269,7 +271,10 @@ def _walk(k: int, lo: int, bounds: list[int], primes: bool = True):
     the other order measured a higher peak RSS on the Lambda sums): every
     value of the segment is formed, and _is_power marks the exact
     q-th powers for each prime q below the largest value's bit length;
-    _prime_power_base then finds each one's base and certifies it.
+    _prime_power_base then finds each one's base and certifies it. The
+    values and _is_power's two buffers take about 26 B an index, so a walk
+    longer than one segment holds about 3.3 MB of them (tracemalloc peak,
+    1.6 MB when segments had 2^16 indices).
     """
     prescreen = _prescreen(k, _prescreen_bound(bounds[-1] - lo + 1)) if primes else None
     for lo, hi, i in _spans(lo, bounds):

@@ -97,6 +97,16 @@ def _ymax(form: QuadraticForm, n_max: int) -> int:
     return ymax
 
 
+def _sweep_ymax(form: QuadraticForm, n_max: int) -> int:
+    """_ymax for a lattice sweep up to n_max, after the checks that refuse
+    it: n_max below 1 or above EPSTEIN_BUDGET, or rows past int64."""
+    if n_max < 1:
+        raise DomainError("n_max must be >= 1")
+    if n_max > EPSTEIN_BUDGET:
+        raise ResourceError(f"n_max {n_max} exceeds budget {EPSTEIN_BUDGET}")
+    return _ymax(form, n_max)
+
+
 def _lattice_row(form: QuadraticForm, n_max: int, y: int) -> np.ndarray:
     """The exact form values 1 <= form(u, y) <= n_max on lattice row y, in
     ascending u. As form(-u, -y) = form(u, y), row -y holds the same
@@ -118,12 +128,8 @@ def epstein_zeta_partial(form: QuadraticForm, s: float, n_max: int) -> float:
         raise DomainError(f"s = {s} is not finite")
     if s <= 1:
         raise DomainError(f"s = {s} must exceed 1 for the lattice sum")
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    if n_max > EPSTEIN_BUDGET:
-        raise ResourceError(f"n_max {n_max} exceeds budget {EPSTEIN_BUDGET}")
     total = 0.0
-    ymax = _ymax(form, n_max)
+    ymax = _sweep_ymax(form, n_max)
     for y in range(-ymax, ymax + 1):
         q = _lattice_row(form, n_max, y)
         if q.size:
@@ -143,11 +149,7 @@ def representation_counts(form: QuadraticForm, n_max: int) -> np.ndarray:
     unless that bound passes 32,767; then they are int32, which holds the
     bound of any sweep short of 5 * 10^8 rows.
     """
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    if n_max > EPSTEIN_BUDGET:
-        raise ResourceError(f"n_max {n_max} exceeds budget {EPSTEIN_BUDGET}")
-    ymax = _ymax(form, n_max)
+    ymax = _sweep_ymax(form, n_max)
     dtype = np.int16 if 4 * ymax + 2 <= np.iinfo(np.int16).max else np.int32
     counts = np.zeros(n_max + 1, dtype=dtype)
     for y in range(ymax + 1):
@@ -159,8 +161,9 @@ def epstein_mu_sum(form: QuadraticForm, s: float, n_max: int) -> float:
     """sum over n <= n_max of mu(n) r(n) / n^s (finite s >= 1); empty when
     n_max = 0.
 
-    The Mobius sieve runs first, before the counts exist, and only its int8
-    mu is kept. The lattice sweep then builds the counts r(n), and the signs
+    The sweep's checks run first, so a refused input sieves nothing. Then
+    the Mobius sieve runs, before the counts exist, and only its int8 mu is
+    kept. The lattice sweep then builds the counts r(n), and the signs
     are applied to them in place: |mu(n) r(n)| <= r(n) fits the counts'
     dtype, and mu is freed before the terms are formed, so no full-length
     mask sits next to the counts. Each term is float(mu(n) r(n)) / n^s,
@@ -180,6 +183,7 @@ def epstein_mu_sum(form: QuadraticForm, s: float, n_max: int) -> float:
         raise DomainError("n_max must be >= 0")
     if n_max == 0:
         return 0.0
+    _sweep_ymax(form, n_max)
     mu = sieve_range(max(n_max, 2)).mu[: n_max + 1]
     signed = representation_counts(form, n_max)
     signed *= mu

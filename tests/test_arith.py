@@ -298,6 +298,75 @@ class TestPrimalityBatch:
         batch_equals_scalar(range(10**18 + 1, 10**18 + 200000, 2))
 
 
+R = 2**64
+
+
+def montgomery_moduli(rng: random.Random, size: int) -> list[int]:
+    """Odd moduli below and above 2^63, and the range's ends."""
+    return ([rng.randrange(3, 2**63, 2) for _ in range(size)]
+            + [rng.randrange(2**63 + 1, R, 2) for _ in range(size)] + [3, R - 1])
+
+
+class TestMontgomery:
+    """The certifier's in-place kernel against Python ints: mul and sqr give
+    a b / 2^64 mod n, add and sub a + b and a - b mod n, whether out is an
+    operand or not, on a context taken from another and on two contexts
+    that share one scratch."""
+
+    OPS = {"mul": lambda a, b, n: a * b * pow(R, -1, n),
+           "sqr": lambda a, b, n: a * a * pow(R, -1, n),
+           "add": lambda a, b, n: a + b,
+           "sub": lambda a, b, n: a - b}
+
+    @classmethod
+    def check(cls, mont, rng, op, out="new"):
+        n = mont.n.tolist()
+        a, b = ([rng.randrange(v) for v in n] for _ in range(2))
+        x, y = np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64)
+        target = {"new": np.empty_like(x), "a": x, "b": y}[out]
+        if op == "sqr":
+            mont.sqr(x, target)
+        else:
+            getattr(mont, op)(x, y, target)
+        assert target.tolist() == [cls.OPS[op](p, q, v) % v for p, q, v in zip(a, b, n)]
+
+    @pytest.mark.parametrize("op, out", [(op, out) for op in OPS for out in ("new", "a", "b")
+                                         if not (op == "sqr" and out == "b")])
+    def test_ops_match_python_ints(self, op, out):
+        rng = random.Random(f"{op}-{out}")
+        mont = arith._Montgomery(np.array(montgomery_moduli(rng, 500), dtype=np.uint64))
+        assert mont.one.tolist() == [R % v for v in mont.n.tolist()]
+        assert (mont.minus_one + mont.one == mont.n).all()
+        self.check(mont, rng, op, out)
+
+    def test_taken_context(self):
+        rng = random.Random(28)
+        full = arith._Montgomery(np.array(montgomery_moduli(rng, 400), dtype=np.uint64))
+        keep = np.flatnonzero(np.array([rng.random() < 0.3 for _ in range(full.n.size)]))
+        mont = full.take(keep)
+        assert mont.n.tolist() == full.n[keep].tolist()
+        assert mont.one.tolist() == [R % v for v in mont.n.tolist()]
+        # the taken context's scratch rows are shorter views of the full one's
+        assert all(row.size == keep.size and np.shares_memory(row, full.scratch)
+                   for row in mont._rows)
+        for op in self.OPS:
+            self.check(mont, rng, op, "a")
+            self.check(full.take(keep[::2]), rng, op, "new")
+
+    def test_two_contexts_on_one_scratch(self):
+        # as the base-2 and the Lucas stage of one batch: the second context
+        # is shorter, and their ops interleave
+        rng = random.Random(29)
+        first = montgomery_moduli(rng, 300)
+        scratch = np.empty((arith._ROWS, len(first)), dtype=np.uint64)
+        base2 = arith._Montgomery(np.array(first, dtype=np.uint64), scratch)
+        lucas = arith._Montgomery(np.array(montgomery_moduli(rng, 100), dtype=np.uint64), scratch)
+        for op in self.OPS:
+            for out in ("new", "a"):
+                self.check(base2, rng, op, out)
+                self.check(lucas, rng, op, out)
+
+
 class TestFactorize:
     def test_one(self):
         assert factorize(1).factors == ()

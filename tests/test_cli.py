@@ -125,6 +125,24 @@ class TestExitCodes:
         assert max(limits, default=0) <= SERIES_BUDGET
 
     @pytest.mark.parametrize("argv", [
+        # lattice rows past int64, then a bound above the Epstein budget
+        ["epstein", "--form", "1,2000000,1000000000001", "--s", "1", "--mu", "--x", "10000000"],
+        ["epstein", "--form", "1,0,27", "--s", "1", "--mu", "--x", "100000000"],
+    ])
+    def test_epstein_refuses_before_sieving(self, capsys, monkeypatch, argv):
+        limits = []
+
+        def recorded(limit):
+            limits.append(limit)
+            raise AssertionError("sieved a refused input")
+
+        monkeypatch.setattr(series, "sieve_range", recorded)
+        assert cli.run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+        assert limits == []
+
+    @pytest.mark.parametrize("argv", [
         ["--suite", "lemma2", "--nmax", str(verify.LEMMA2_BUDGET + 1)],
         ["--suite", "lemma3", "--pmax", str(verify.GAUSS_BUDGET + 1)],
         ["--suite", "rho", "--nmax", str(verify.RHO_SCAN_BUDGET + 1)],
@@ -214,11 +232,11 @@ class TestCountMetadata:
         assert cli.run(self.HEADLINE) == 0
         out = capsys.readouterr().out
         meta = dict(line[2:].split("=", 1) for line in out.splitlines() if line.startswith("#"))
-        assert meta["segments"] == "19"
+        assert meta["segments"] == "11"
         assert int(meta["workers"]) >= 1
         assert body_lines(out)[0] == "x,observed,predicted,ratio,p_cutoff"
         _, payload = run_json(capsys, self.HEADLINE)
-        assert payload["metadata"]["segments"] == 19
+        assert payload["metadata"]["segments"] == 11
         assert payload["metadata"]["workers"] == int(meta["workers"])
         assert payload["header"] == ["x", "observed", "predicted", "ratio", "p_cutoff"]
 

@@ -276,9 +276,9 @@ class TestCountTable:
     def test_last_window_below_2_64_equals_scalar_is_prime(self):
         # the split walk to 2^64 - 1 against 7-base Miller-Rabin on each of
         # the last 65,536 values, with no sieve and no batch certifier
-        hi = max_index(2, U64_MAX)
-        below, top = _running_counts(2, [hi - _SEGMENT, hi])
-        scalar = sum(is_prime(n**3 + 2) for n in range(hi - _SEGMENT + 1, hi + 1))
+        hi, window = max_index(2, U64_MAX), 65_536
+        below, top = _running_counts(2, [hi - window, hi])
+        scalar = sum(is_prime(n**3 + 2) for n in range(hi - window + 1, hi + 1))
         assert top - below == scalar == 1871
 
     def test_single_pass_matches_individual_counts(self):
@@ -549,19 +549,22 @@ class TestSegmentedWalk:
             assert not _is_power(v + np.uint64(1), q).any(), q
             assert not _is_power(np.array([U64_MAX], dtype=np.uint64), q)[0], q
 
+    # every walk below is WALK + 1 indices long, more than one segment
+    WALK = _SEGMENT + 4_464
+
     @pytest.mark.parametrize("k, lo, bounds", [
-        (2, 2**21 - 35_000, [2**21 + 35_000]),  # values cross 2^63
-        (2, max_index(2, 2**64 - 1) - 70_000, [max_index(2, 2**64 - 1)]),
-        (-128, 10**6, [10**6 + 70_000]),
-        (2**62 + 1, -10**6, [-10**6 + 70_000]),  # n < 0: uint64 values from negative n
+        (2, 2**21 - WALK // 2, [2**21 + WALK // 2]),  # values cross 2^63
+        (2, max_index(2, 2**64 - 1) - WALK, [max_index(2, 2**64 - 1)]),
+        (-128, 10**6, [10**6 + WALK]),
+        (2**62 + 1, -10**6, [-10**6 + WALK]),  # n < 0: uint64 values from negative n
         # a bound below the walk, then one below, at and above the last
         # index of its first segment
         (-128, 10**6, [10**6 - 1, *(10**6 + _SEGMENT - 1 + d for d in (-1, 0, 1)),
-                       10**6 + 70_000]),
+                       10**6 + WALK]),
     ], ids=lambda v: "_".join(map(str, v)) if isinstance(v, list) else None)
     def test_walk_hits_equal_scalar_loop(self, k, lo, bounds):
-        # more than one 65536-index segment; primes by the batch certifier;
-        # each hit carries the position of the first bound >= n
+        # more than one segment; primes by the batch certifier; each hit
+        # carries the position of the first bound >= n
         expected = []
         for n in range(lo, bounds[-1] + 1):
             v = n**3 + k
@@ -729,7 +732,8 @@ class TestSplitWalk:
     def test_failing_child_exits_three_without_traceback(self, monkeypatch, capfd):
         self.force_workers(monkeypatch, 2)
         self.fail_in_children(monkeypatch)
-        assert cli.run(["count", "--k", "2", "--x", str(10**15)]) == 3
+        # 10^6 indices: more than one segment, so the walk forks
+        assert cli.run(["count", "--k", "2", "--x", str(10**18)]) == 3
         err = capfd.readouterr().err
         assert err.startswith("error: a count worker")
         assert "Traceback" not in err
