@@ -207,10 +207,10 @@ class _Montgomery:
     An op writes its result to out, which may be an operand, and allocates
     nothing: each step writes through ufunc out= into scratch, _ROWS uint64
     rows of at least n.size columns made once per batch. Contexts made from
-    the same scratch (take() among them) share it, as no op keeps anything
-    there between calls; out is never a scratch row. Conditional corrections
-    add n times a 0/1 comparison: where= on a random mask ran over ten
-    times slower than an unmasked op.
+    the same scratch share it, as no op keeps anything there between calls;
+    out is never a scratch row. Conditional corrections add n times a 0/1
+    comparison: where= on a random mask ran over ten times slower than an
+    unmasked op.
     """
 
     def __init__(self, n: np.ndarray, scratch: np.ndarray | None = None):
@@ -223,15 +223,6 @@ class _Montgomery:
         self.minus_one = n - self.one
         self.scratch = np.empty((_ROWS, n.size), dtype=np.uint64) if scratch is None else scratch
         self._rows = tuple(self.scratch[:, : n.size])
-
-    def take(self, keep) -> _Montgomery:
-        """The context for the moduli that keep selects, on the same scratch."""
-        out = object.__new__(_Montgomery)
-        for name in ("n", "n0", "n1", "ninv", "one", "minus_one"):
-            setattr(out, name, getattr(self, name)[keep])
-        out.scratch = self.scratch
-        out._rows = tuple(self.scratch[:, : out.n.size])
-        return out
 
     def mul(self, a, b, out) -> None:
         """a b / R mod n, the Montgomery product."""
@@ -281,38 +272,41 @@ class _Montgomery:
         self._difference(a, b, out, self._rows[0])
 
 
-def _two_adic(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(s, d) with m = d * 2^s and d odd, for nonzero even m in uint64;
-    2^s, the lowest set bit, is exact as a float."""
-    s = (np.frexp((m & (0 - m)).astype(np.float64))[1] - 1).astype(np.uint64)
-    return s, m >> s
+def _trailing_zeros(m: np.ndarray) -> np.ndarray:
+    """s with m = d * 2^s and d odd, for nonzero m in uint64; 2^s, the
+    lowest set bit, is exact as a float."""
+    return (np.frexp((m & (0 - m)).astype(np.float64))[1] - 1).astype(np.uint64)
 
 
 def _strong_base2(n: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Strong-probable-prime verdicts to base 2 for odd n > 2. The ladder
-    for 2^d multiplies by 2 with a modular doubling, not a product: x is
-    added to x times the bit of d, in place."""
+    """Strong-probable-prime verdicts to base 2 for odd n > 2, with
+    n - 1 = e = d * 2^s and d odd. The ladder for 2^e doubles with a modular
+    add, not a product (x is added to x times the bit of e, in place), and
+    stops after bit 1: after bit b, x = 2^(e >> b). n passes if x = 1 at
+    b = s or x = -1 at some 1 <= b <= s, so the verdict is read in the last
+    s steps, and no step allocates."""
     mont = _Montgomery(n, scratch)
-    s, d = _two_adic(n - 1)
+    e = n - 1
+    s = _trailing_zeros(e)
     x, twice = mont.one.copy(), np.empty_like(n)
-    for bit in range(int(d.max()).bit_length() - 1, -1, -1):
+    passed, hit, at = np.zeros((3, n.size), dtype=bool)
+    last = int(s.max())
+    for bit in range(int(e.max()).bit_length() - 1, 0, -1):
         mont.sqr(x, x)
-        np.right_shift(d, bit, out=twice)
+        np.right_shift(e, bit, out=twice)
         twice &= 1
         twice *= x
         mont.add(x, twice, x)
-    passed = (x == mont.one) | (x == mont.minus_one)
-    # x^(2^j) for j = 1 .. s - 1, on the values not yet decided
-    live = np.flatnonzero(~passed & (s > 1))
-    mont, x, s = mont.take(live), x[live], s[live]
-    j = 1
-    while live.size:
-        mont.sqr(x, x)
-        hit = x == mont.minus_one
-        passed[live[hit]] = True
-        j += 1
-        keep = ~hit & (s > j)
-        live, x, s, mont = live[keep], x[keep], s[keep], mont.take(keep)
+        if bit > last:
+            continue
+        np.equal(x, mont.minus_one, out=hit)  # x = -1 at 1 <= b <= s
+        np.greater_equal(s, bit, out=at)
+        hit &= at
+        passed |= hit
+        np.equal(x, mont.one, out=hit)  # 2^d = 1 at b = s
+        np.equal(s, bit, out=at)
+        hit &= at
+        passed |= hit
     return passed
 
 
@@ -406,19 +400,20 @@ def _strong_lucas(n: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarra
     The roots a, b of x^2 - Px + Q give a/b and b/a with product 1 and
     sum P' = P^2/Q - 2, so V_2k = Q^k W_k with W_k = V_k(P', 1) (Crandall
     and Pomerance, Prime Numbers, 3.6). A ladder holds (W_k, W_{k+1}) in
-    Montgomery form from (2, P') up the bits of m, at one square and one
-    product a bit: a clear bit takes k to 2k, (W_k^2 - 2, W_k W_{k+1} - P'),
-    and a set bit to 2k + 1, (W_k W_{k+1} - P', W_{k+1}^2 - 2). In place,
-    the pair (w, w1) is kept in reverse order after a set bit, so each step
-    squares w and multiplies the two into w1, and the pair is swapped where
-    the bit differs from the one before (the bits of m ^ (m >> 1)). The
-    tests below are symmetric in the pair, so its last order does not
-    matter. Expanding,
-    Q^(m+1) (W_{m+1} - W_m) = D U_d and Q^(m+1) (W_{m+1} + W_m) = P V_d.
-    D is a unit as (D/n) = -1, and Q is one by the gcd, so
-        U_d = 0 iff W_{m+1} = W_m,   V_d = 0 iff W_m + W_{m+1} = 0,
-    and V_{d*2^r} = 0 iff W_{d*2^(r-1)} = 0 for 1 <= r < s, from
-    W_d = W_m W_{m+1} - P' on by W -> W^2 - 2. A composite n stops the D
+    Montgomery form from (2, P') down the bits of K = (n + 1)/2 = d * 2^(s-1)
+    to bit 1, at one square and one product a bit: a clear bit takes k to
+    2k, (W_k^2 - 2, W_k W_{k+1} - P'), and a set bit to 2k + 1,
+    (W_k W_{k+1} - P', W_{k+1}^2 - 2). In place, the pair (w, w1) is kept
+    in reverse order after a set bit, so each step squares w and multiplies
+    the two into w1, and the pair is swapped where the bit differs from the
+    one before (the bits of K ^ (K >> 1)). After bit b, k = K >> b, and the
+    verdict is read in the last s steps. At b = s, k = m, and expanding
+    Q^(m+1) (W_{m+1} - W_m) = D U_d and Q^(m+1) (W_{m+1} + W_m) = P V_d,
+    with D a unit as (D/n) = -1 and Q one by the gcd,
+        U_d = 0 iff w = w1,   V_d = 0 iff w = n - w1
+    (w = w1 = 0 is caught by the first). At b = s - 1, k = d with bit b
+    set, so V_2d = 0 iff w1 = W_d = 0. At 1 <= b <= s - 2, bit b is clear,
+    so V_{d*2^(s-b)} = 0 iff w = W_k = 0. A composite n stops the D
     search by |D| = p, its least prime factor, so |Q| <= (p + 1)/4 < p and
     Q is prime to n.
     """
@@ -437,11 +432,13 @@ def _strong_lucas(n: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarra
     mont.add(mont.one, mont.one, two)
     p = _div_small(mont.one, n, Q)
     mont.sub(p, two, p)
-    s, d = _two_adic(n + 1)  # n + 1 < 2^64: 2^64 - 1 is divisible by 3
-    m = d >> 1
-    flips = m ^ (m >> 1)
+    s = _trailing_zeros(n + 1)  # n + 1 < 2^64: 2^64 - 1 is divisible by 3
+    K = (n + 1) >> 1
+    flips = K ^ (K >> 1)
     w, w1, flip, step = two.copy(), p.copy(), np.empty_like(n), np.empty_like(n)
-    for bit in range(int(m.max()).bit_length() - 1, -1, -1):
+    passed, hit, at = np.zeros((3, n.size), dtype=bool)
+    last = int(s.max())
+    for bit in range(int(K.max()).bit_length() - 1, 0, -1):
         # swap by the bit of flips: w += (w1 - w) flip and w1 -= it, mod 2^64
         np.right_shift(flips, bit, out=flip)
         flip &= 1
@@ -453,22 +450,23 @@ def _strong_lucas(n: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarra
         mont.sub(w1, p, w1)
         mont.sqr(w, w)
         mont.sub(w, two, w)
-    mont.add(w, w1, step)
-    passed = (w == w1) | (step == 0)
-    # W_{d*2^(j-1)} for j = 1 .. s - 1, on the values not yet decided
-    live = np.flatnonzero(~passed & (s > 1))
-    mont, s, w, two = mont.take(live), s[live], w[live], two[live]
-    mont.mul(w, w1[live], w)
-    mont.sub(w, p[live], w)
-    j = 1
-    while live.size:
-        hit = w == 0
-        passed[live[hit]] = True
-        j += 1
-        keep = ~hit & (s > j)
-        live, w, s, two, mont = live[keep], w[keep], s[keep], two[keep], mont.take(keep)
-        mont.sqr(w, w)
-        mont.sub(w, two, w)
+        if bit > last:
+            continue
+        np.equal(w, 0, out=hit)  # W_k = 0 at 1 <= b <= s - 2
+        np.greater(s, bit + 1, out=at)
+        hit &= at
+        passed |= hit
+        np.equal(w1, 0, out=hit)  # W_d = 0 at b = s - 1
+        np.equal(s, bit + 1, out=at)
+        hit &= at
+        passed |= hit
+        np.subtract(mont.n, w1, out=step)  # V_d = 0 or U_d = 0 at b = s
+        np.equal(w, step, out=hit)
+        np.equal(w, w1, out=at)
+        hit |= at
+        np.equal(s, bit, out=at)
+        hit &= at
+        passed |= hit
     verdict[idx] = passed
     return verdict
 
